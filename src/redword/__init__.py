@@ -19,7 +19,6 @@ from redword.errors import EnumerationCapExceeded, SweepBoundExceeded
 from redword.kernels import BACKEND as KERNEL_BACKEND
 from redword.perm import Permutation, all_permutations, identity, longest_element
 from redword.singleton import (
-    QUOTIENT_SWEEP_BOUND,
     SINGLETON_SWEEP_BOUND,
     RepeatedExtremeCase,
     SearchResult,
@@ -52,7 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_MAX_WORDS",
-    "QUOTIENT_SWEEP_BOUND",
     "SINGLETON_SWEEP_BOUND",
     "KERNEL_BACKEND",
     "ClassPartition",

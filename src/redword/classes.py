@@ -8,6 +8,20 @@ module enumerates the words, builds the partition, and offers the
 braid-move-augmented graph as a connectivity self-check (with both move
 kinds, all reduced words of a permutation are connected).
 
+A commutation class is a heap (a Cartier-Foata trace): letters a and b
+commute exactly when |a - b| >= 2, so the only pairs that never commute are
+{a, a+1} and {a, a}.  By the projection lemma for trace monoids
+(Cori-Perrin 1985; Duboc 1986), two words are equivalent exactly when their
+subsequences of letters in {a, a+1} agree for every a in 1..n-1; those
+subsequences also fix how often each letter occurs, which settles the pairs
+{a, a}.  Commutation moves keep a word reduced and its permutation fixed, so
+the classes of the trace monoid, cut down to the reduced words of one
+permutation, are that permutation's commutation classes.
+``class_partition`` groups the words by that tuple of subsequences in one
+pass, with no search; the breadth-first closure under single moves
+(``commutation_class``) is kept as the independent oracle the tests compare
+it against.
+
 Enumeration sizes explode factorially, so every full enumeration honours a
 word cap and fails loudly instead of truncating.
 """
@@ -147,20 +161,36 @@ def class_partition(
 ) -> ClassPartition:
     """Partition all reduced words of ``p`` into commutation classes.
 
-    Scanning words in lexicographic order makes the first word met in each
-    class its least member, so the classes come out sorted by representative.
+    Each word is keyed by its heap key: for a = 0 .. n-1, the subsequence of
+    its letters lying in {a, a+1} (0 and n are not letters, so the two ends
+    hold the occurrences of 1 and of n-1 alone).  By the projection lemma
+    (see the module docstring) two words share a key exactly when they are
+    commutation equivalent, so grouping by key gives the classes without
+    exploring any move graph.  Each key takes one pass over the word's
+    letters, at any degree.  The words arrive in lexicographic order, so the
+    first word of each group is its least member and the groups, in
+    insertion order, are sorted by representative.
+
+    >>> from redword.perm import Permutation
+    >>> [len(c) for c in class_partition(Permutation((2, 1, 4, 3))).classes]
+    [2]
     """
-    words = kernels.reduced_word_list(p.entries, max_words)
-    assigned: set[tuple[int, ...]] = set()
-    classes = []
     n = p.degree
+    pairs = range(n)
+    words = kernels.reduced_word_list(p.entries, max_words)
+    groups: dict[tuple[tuple[int, ...], ...], list[Word]] = {}
     for letters in words:
-        if letters in assigned:
-            continue
-        members = _closure(Word(letters, n), _commutation_neighbors)
-        assigned.update(m.letters for m in members)
-        classes.append(CommutationClass(members, min(members), p))
-    return ClassPartition(p, tuple(classes), len(words))
+        projections: list[list[int]] = [[] for _ in pairs]
+        for x in letters:
+            projections[x - 1].append(x)
+            projections[x].append(x)
+        key = tuple(map(tuple, projections))
+        groups.setdefault(key, []).append(Word(letters, n))
+    classes = tuple(
+        CommutationClass(frozenset(members), members[0], p)
+        for members in groups.values()
+    )
+    return ClassPartition(p, classes, len(words))
 
 
 def is_connected_under_all_moves(

@@ -6,13 +6,14 @@ the stdout bytes are a pure function of argv and the two environment
 variables (REDWORD_MAX_WORDS, REDWORD_THREADS), so runs are diffable.
 
 Exit codes: 0 success, 1 verification found violations, 2 usage or parse
-error, 3 enumeration cap or sweep bound exceeded.
+error, 3 enumeration cap, sweep bound, recursion limit or memory exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
 import time
@@ -142,24 +143,30 @@ def _cmd_classes(args):
     cap = _resolve_max_words(args)
     inputs = {"permutation": p.to_text(), "max_words": cap}
     partition = class_partition(p, cap)
-    classes_payload = []
+    # members share one degree, so ordering by letters is the Word order
+    by_letters = operator.attrgetter("letters")
+    sorted_classes = [
+        sorted(cls.members, key=by_letters) for cls in partition.classes
+    ]
+    if args.format == "json":
+        results = {
+            "class_count": len(partition.classes),
+            "total_words": partition.total_words,
+            "classes": [
+                {
+                    "representative": _word_payload(cls.representative),
+                    "size": len(members),
+                    "members": [_word_payload(m) for m in members],
+                }
+                for cls, members in zip(partition.classes, sorted_classes)
+            ],
+        }
+        return inputs, results, [], 0
     lines = [f"{len(partition.classes)} classes, {partition.total_words} words"]
-    for cls in partition.classes:
-        members = sorted(cls.members)
-        classes_payload.append(
-            {
-                "representative": _word_payload(cls.representative),
-                "size": len(members),
-                "members": [_word_payload(m) for m in members],
-            }
-        )
-        lines.append(" ".join(m.to_text() for m in members))
-    results = {
-        "class_count": len(partition.classes),
-        "total_words": partition.total_words,
-        "classes": classes_payload,
-    }
-    return inputs, results, lines, 0
+    lines += [
+        " ".join([m.to_text() for m in members]) for members in sorted_classes
+    ]
+    return inputs, {}, lines, 0
 
 
 def _cmd_singletons(args):
@@ -368,6 +375,9 @@ def run(argv: list[str] | None = None) -> int:
         return 3
     except SweepBoundExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except (RecursionError, MemoryError) as exc:
+        print(f"error: input too large: {exc!r}", file=sys.stderr)
         return 3
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     if args.format == "json":

@@ -35,7 +35,8 @@ class Permutation:
             raise ValueError("degree 0 is not a valid permutation degree")
         seen = [False] * n
         for value in entries:
-            if not isinstance(value, int):
+            # exactly int: True == 1 would otherwise print as "True"
+            if type(value) is not int:
                 raise ValueError(f"value {value!r} is not an integer")
             if not 1 <= value <= n:
                 raise ValueError(f"value {value} out of range 1..{n}")

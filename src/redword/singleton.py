@@ -45,7 +45,6 @@ from redword.perm import Permutation, all_permutations, longest_element
 from redword.words import Word, is_vee, is_wedge, pinnacle_vale
 
 SINGLETON_SWEEP_BOUND = 7
-QUOTIENT_SWEEP_BOUND = 5
 
 T = TypeVar("T")
 U = TypeVar("U")
@@ -382,6 +381,8 @@ def verify_theorem_sweep(
 
     The laws hold universally, so the report must carry zero violations.
     """
+    if max_n < 1:
+        raise ValueError(f"degree {max_n} is not positive")
     if max_n > sweep_bound:
         raise SweepBoundExceeded(max_n, sweep_bound)
     words_checked = 0
@@ -480,6 +481,8 @@ def search_by_class_count(
     >>> [(p.to_text(), [w.to_text() for w in ws]) for p, ws in r.matches]
     [('321', ['121', '212'])]
     """
+    if n < 1:
+        raise ValueError(f"degree {n} is not positive")
     if n > sweep_bound:
         raise SweepBoundExceeded(n, sweep_bound)
 

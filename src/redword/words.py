@@ -38,7 +38,8 @@ class Word:
         if self.degree < 1:
             raise ValueError(f"ambient degree {self.degree} is not positive")
         for position, letter in enumerate(letters, start=1):
-            if not isinstance(letter, int):
+            # exactly int: True == 1 would otherwise print as "True"
+            if type(letter) is not int:
                 raise ValueError(f"invalid letter {letter!r} at position {position}")
             if letter < 1:
                 raise ValueError(f"letter {letter} below 1 at position {position}")
@@ -108,8 +109,8 @@ class Word:
     def to_text(self) -> str:
         """Compact digit string for degree <= 10, comma-separated otherwise."""
         if self.degree <= 10:
-            return "".join(str(i) for i in self.letters)
-        return ",".join(str(i) for i in self.letters)
+            return "".join(map(str, self.letters))
+        return ",".join(map(str, self.letters))
 
     @classmethod
     def from_text(cls, text: str, degree: int) -> Word:

@@ -152,9 +152,22 @@ def test_class_partition_examples():
     assert len(partition.classes) == 1
     assert partition.classes[0].representative == Word((), 4)
 
+    # letters far above 9 and above 255 group like small ones
+    entries = list(range(1, 301))
+    entries[0:2] = [2, 1]
+    entries[298:300] = [300, 299]
+    partition = class_partition(Permutation(tuple(entries)))
+    assert len(partition.classes) == 1
+    assert {w.letters for w in partition.classes[0].members} == {(1, 299), (299, 1)}
+
+
+def small_permutations():
+    for n in range(1, 6):
+        yield from all_permutations(n)
+
 
 def test_class_partition_is_a_partition():
-    for p in all_permutations(4):
+    for p in small_permutations():
         partition = class_partition(p)
         seen = set()
         for cls in partition.classes:
@@ -175,9 +188,17 @@ def test_singleton_classes_have_no_commutation_move():
 
 
 def test_classes_are_components_of_the_move_graph():
-    for p in all_permutations(4):
+    # the breadth-first closure is independent of the heap-key grouping
+    for p in small_permutations():
         for cls in class_partition(p).classes:
             assert commutation_class(cls.representative).members == cls.members
+
+
+def test_longest_element_class_counts_match_a006245():
+    # OEIS A006245: commutation classes of reduced words of the longest
+    # element, i.e. rhombic tilings of a 2n-gon
+    for n, expected in ((1, 1), (2, 1), (3, 2), (4, 8), (5, 62)):
+        assert len(class_partition(longest_element(n)).classes) == expected
 
 
 def test_connectivity_under_both_moves():

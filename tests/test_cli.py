@@ -1,5 +1,6 @@
 """Command-line behavior: output bytes, exit codes, diagnostics."""
 
+import hashlib
 import json
 
 import pytest
@@ -96,6 +97,17 @@ def test_reduced_words_cap_exits_3(capsys):
     assert "cap" in err
 
 
+def test_recursion_limit_exits_3(capsys):
+    # the cycle 2,3,...,1100,1 has one reduced word of 1099 letters, deeper
+    # than the default recursion limit of the pure kernels
+    cycle = ",".join(map(str, [*range(2, 1101), 1]))
+    code, out, err = invoke(capsys, "reduced-words", cycle, "--count-only")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_cap_env_var_and_flag_priority(capsys, monkeypatch):
     monkeypatch.setenv("REDWORD_MAX_WORDS", "5")
     code, _, _ = invoke(capsys, "reduced-words", "4321")
@@ -120,6 +132,20 @@ def test_classes_command(capsys):
 
     code, out, _ = invoke(capsys, "classes", "2143")
     assert out.splitlines() == ["1 classes, 2 words", "13 31"]
+
+
+def test_classes_output_bytes_are_pinned(capsys, monkeypatch):
+    # 26 classes of 7887 words: class order, member order and rendering in
+    # both formats are part of the output contract
+    monkeypatch.delenv("REDWORD_MAX_WORDS", raising=False)
+    expected = {
+        "text": "0377739fc2254c74498a895fe12f8510c02052e186445e34c5d7bfd129a2232f",
+        "json": "07c721575501bab04a0c12ee02b921be0190f629247d0c00c6c0888e39de561a",
+    }
+    for fmt, digest in expected.items():
+        code, out, _ = invoke(capsys, "classes", "2761534", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_singletons_command(capsys):
@@ -160,6 +186,13 @@ def test_verify_command(capsys):
     assert code == 3
     assert "bound" in err
 
+    # a sweep over no degree at all must not report success
+    for max_n in ("0", "-3"):
+        code, out, err = invoke(capsys, "verify", "--max-n", max_n)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 def test_verify_json(capsys):
     code, out, _ = invoke(capsys, "verify", "--max-n", "3", "--format", "json")
@@ -182,6 +215,12 @@ def test_search_command(capsys):
     code, _, err = invoke(capsys, "search", "--n", "8", "--class-count", "4")
     assert code == 3
     assert "bound" in err
+
+    for n in ("0", "-1"):
+        code, out, err = invoke(capsys, "search", "--n", n, "--class-count", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 def test_zigzag_command(capsys):

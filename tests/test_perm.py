@@ -31,6 +31,10 @@ def test_construction_validates_entries():
         Permutation(())
     with pytest.raises(ValueError, match="not an integer"):
         Permutation((1, "2", 3))
+    with pytest.raises(ValueError, match="value True is not an integer"):
+        Permutation((True,))
+    with pytest.raises(ValueError, match="value False is not an integer"):
+        Permutation((2, False))
 
 
 def test_degree_and_identity_flag():

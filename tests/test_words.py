@@ -30,6 +30,11 @@ def test_construction_validates_letters():
         Word((0, 1), 4)
     with pytest.raises(ValueError, match="invalid letter"):
         Word((1, "2"), 4)
+    # True == 1, yet it would print as "True"
+    with pytest.raises(ValueError, match="invalid letter True at position 1"):
+        Word((True,), 3)
+    with pytest.raises(ValueError, match="invalid letter False at position 2"):
+        Word((1, False), 3)
     with pytest.raises(ValueError, match="degree"):
         Word((), 0)
     assert Word((), 1).letters == ()
