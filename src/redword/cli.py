@@ -2,8 +2,8 @@
 Command-line front end.
 
 Results go to stdout, diagnostics and timing to stderr.  For a fixed format
-the stdout bytes are a pure function of argv and the two environment
-variables (REDWORD_MAX_WORDS, REDWORD_THREADS), so runs are diffable.
+the stdout bytes are a pure function of argv and the environment variable
+REDWORD_MAX_WORDS, so runs are diffable.
 
 Exit codes: 0 success, 1 verification found violations, 2 usage or parse
 error, 3 enumeration cap, sweep bound, recursion limit or memory exceeded.
@@ -39,38 +39,6 @@ from redword.singleton import (
 from redword.words import Word
 
 
-def parse_permutation(text: str) -> Permutation:
-    """Parse one-line notation: a digit string for degree <= 9, else
-    comma-separated values.
-
-    >>> parse_permutation("2341").entries
-    (2, 3, 4, 1)
-    >>> parse_permutation("7,2,6,5,4,1,3").to_text()
-    '7265413'
-    """
-    text = text.strip()
-    if not text:
-        raise ValueError("empty permutation")
-    if "," in text:
-        entries = []
-        for position, piece in enumerate(text.split(","), start=1):
-            piece = piece.strip()
-            if not piece.lstrip("-").isdigit():
-                raise ValueError(f"invalid entry {piece!r} at position {position}")
-            entries.append(int(piece))
-    else:
-        for position, ch in enumerate(text, start=1):
-            if not ch.isdigit():
-                raise ValueError(f"invalid entry {ch!r} at position {position}")
-        entries = [int(ch) for ch in text]
-    return Permutation(tuple(entries))
-
-
-def parse_word(text: str, n: int) -> Word:
-    """Parse a word in ambient degree ``n``; see Word.from_text."""
-    return Word.from_text(text, n)
-
-
 def _perm_payload(p: Permutation) -> dict:
     payload: dict = {"entries": list(p.entries)}
     if p.degree <= 9:
@@ -83,6 +51,14 @@ def _word_payload(w: Word) -> dict:
     if w.degree <= 10:
         payload["compact"] = w.to_text()
     return payload
+
+
+def _word_list(args, inputs: dict, words: list[Word]):
+    # build only the requested format: one rendering per word
+    if args.format == "json":
+        results = {"count": len(words), "words": [_word_payload(w) for w in words]}
+        return inputs, results, [], 0
+    return inputs, {}, [w.to_text() for w in words], 0
 
 
 def _resolve_max_words(args) -> int:
@@ -102,20 +78,8 @@ def _resolve_max_words(args) -> int:
     return DEFAULT_MAX_WORDS
 
 
-def _resolve_threads(args) -> int | None:
-    if args.threads is not None:
-        return args.threads
-    raw = os.environ.get("REDWORD_THREADS")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValueError(f"REDWORD_THREADS is not an integer: {raw!r}")
-    return None
-
-
 def _cmd_eval(args):
-    word = parse_word(args.word, args.n)
+    word = Word.from_text(args.word, args.n)
     p = word.evaluate()
     inputs = {"n": args.n, "word": args.word}
     results = {"permutation": _perm_payload(p)}
@@ -123,7 +87,7 @@ def _cmd_eval(args):
 
 
 def _cmd_reduced_words(args):
-    p = parse_permutation(args.permutation)
+    p = Permutation.from_text(args.permutation)
     cap = _resolve_max_words(args)
     inputs = {
         "permutation": p.to_text(),
@@ -133,13 +97,11 @@ def _cmd_reduced_words(args):
     if args.count_only:
         count = count_reduced_words(p)
         return inputs, {"count": count}, [str(count)], 0
-    words = list(enumerate_reduced_words(p, cap))
-    results = {"count": len(words), "words": [_word_payload(w) for w in words]}
-    return inputs, results, [w.to_text() for w in words], 0
+    return _word_list(args, inputs, list(enumerate_reduced_words(p, cap)))
 
 
 def _cmd_classes(args):
-    p = parse_permutation(args.permutation)
+    p = Permutation.from_text(args.permutation)
     cap = _resolve_max_words(args)
     inputs = {"permutation": p.to_text(), "max_words": cap}
     partition = class_partition(p, cap)
@@ -170,11 +132,9 @@ def _cmd_classes(args):
 
 
 def _cmd_singletons(args):
-    p = parse_permutation(args.permutation)
+    p = Permutation.from_text(args.permutation)
     inputs = {"permutation": p.to_text()}
-    words = singleton_words(p)
-    results = {"count": len(words), "words": [_word_payload(w) for w in words]}
-    return inputs, results, [w.to_text() for w in words], 0
+    return _word_list(args, inputs, singleton_words(p))
 
 
 def _cmd_longest(args):
@@ -182,23 +142,19 @@ def _cmd_longest(args):
     word = long_element_singleton(n)
     symmetries = sorted(long_element_class(n))
     inputs = {"degree": n}
-    results = {
-        "degree": n,
-        "word": _word_payload(word),
-        "symmetries": [_word_payload(w) for w in symmetries],
-    }
-    lines = [word.to_text()] + [w.to_text() for w in symmetries]
-    return inputs, results, lines, 0
+    if args.format == "json":
+        results = {
+            "degree": n,
+            "word": _word_payload(word),
+            "symmetries": [_word_payload(w) for w in symmetries],
+        }
+        return inputs, results, [], 0
+    return inputs, {}, [w.to_text() for w in (word, *symmetries)], 0
 
 
 def _cmd_verify(args):
-    threads = _resolve_threads(args)
-    inputs = {
-        "max_n": args.max_n,
-        "sweep_bound": args.sweep_bound,
-        "threads": args.threads,
-    }
-    report = verify_theorem_sweep(args.max_n, args.sweep_bound, threads)
+    inputs = {"max_n": args.max_n, "sweep_bound": args.sweep_bound}
+    report = verify_theorem_sweep(args.max_n, args.sweep_bound)
     zigzag = verify_zigzag_sweep(args.max_n)
     violations = list(report.violations) + list(zigzag.violations)
     lines = [
@@ -227,31 +183,29 @@ def _cmd_verify(args):
 
 
 def _cmd_search(args):
-    threads = _resolve_threads(args)
     inputs = {
         "n": args.n,
         "class_count": args.class_count,
         "sweep_bound": args.sweep_bound,
-        "threads": args.threads,
     }
-    result = search_by_class_count(args.n, args.class_count, args.sweep_bound, threads)
+    result = search_by_class_count(args.n, args.class_count, args.sweep_bound)
+    if args.format == "json":
+        results = {
+            "degree": result.degree,
+            "target_count": result.target_count,
+            "matches": [
+                {
+                    "permutation": _perm_payload(p),
+                    "words": [_word_payload(w) for w in words],
+                }
+                for p, words in result.matches
+            ],
+        }
+        return inputs, results, [], 0
     lines = [f"{len(result.matches)} matches"]
-    matches_payload = []
     for p, words in result.matches:
-        matches_payload.append(
-            {
-                "permutation": _perm_payload(p),
-                "words": [_word_payload(w) for w in words],
-            }
-        )
-        joined = " ".join(w.to_text() for w in words)
-        lines.append(f"{p.to_text()}: {joined}" if joined else f"{p.to_text()}:")
-    results = {
-        "degree": result.degree,
-        "target_count": result.target_count,
-        "matches": matches_payload,
-    }
-    return inputs, results, lines, 0
+        lines.append(" ".join([f"{p.to_text()}:", *(w.to_text() for w in words)]))
+    return inputs, {}, lines, 0
 
 
 def _cmd_zigzag(args):
@@ -333,7 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_ve.add_argument("--max-n", type=int, required=True)
     p_ve.add_argument("--sweep-bound", type=int, default=SINGLETON_SWEEP_BOUND)
-    p_ve.add_argument("--threads", type=int, default=None)
     p_ve.set_defaults(func=_cmd_verify)
 
     p_se = sub.add_parser(
@@ -343,7 +296,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_se.add_argument("--n", type=int, required=True)
     p_se.add_argument("--class-count", type=int, required=True)
     p_se.add_argument("--sweep-bound", type=int, default=SINGLETON_SWEEP_BOUND)
-    p_se.add_argument("--threads", type=int, default=None)
     p_se.set_defaults(func=_cmd_search)
 
     p_zz = sub.add_parser(
@@ -359,6 +311,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
+    """
+    Run one command and return its exit code; results go to stdout.
+
+    >>> run(["eval", "--n", "4", "123"])
+    2341
+    0
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

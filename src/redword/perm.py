@@ -21,6 +21,32 @@ import dataclasses
 from typing import Iterable
 
 
+def parse_one_line(text: str, item: str) -> tuple[int, ...]:
+    """
+    Read integers written as ``to_text`` writes them: comma-separated when
+    the text holds a comma, otherwise one ASCII digit each.  Blank text is
+    the empty tuple.  ``item`` names a value in error messages.
+
+    >>> parse_one_line("2341", "entry")
+    (2, 3, 4, 1)
+    >>> parse_one_line(" 10, 2 ,3", "letter")
+    (10, 2, 3)
+    >>> parse_one_line("1x3", "entry")
+    Traceback (most recent call last):
+    ...
+    ValueError: invalid entry 'x' at position 2
+    """
+    text = text.strip()
+    if not text:
+        return ()
+    pieces = [piece.strip() for piece in text.split(",")] if "," in text else text
+    for position, piece in enumerate(pieces, start=1):
+        # str.isdigit alone would let non-ASCII digits such as U+FF11 through
+        if not (piece.isascii() and piece.isdigit()):
+            raise ValueError(f"invalid {item} {piece!r} at position {position}")
+    return tuple(map(int, pieces))
+
+
 @dataclasses.dataclass(frozen=True, order=True)
 class Permutation:
     """A permutation of {1, ..., n}, ordered lexicographically by one-line notation."""
@@ -32,7 +58,7 @@ class Permutation:
         object.__setattr__(self, "entries", entries)
         n = len(entries)
         if n == 0:
-            raise ValueError("degree 0 is not a valid permutation degree")
+            raise ValueError("empty permutation: degree 0 is not a valid permutation degree")
         seen = [False] * n
         for value in entries:
             # exactly int: True == 1 would otherwise print as "True"
@@ -129,25 +155,12 @@ class Permutation:
         """
         Parse one-line notation, the inverse of ``to_text``.
 
-        >>> Permutation.from_text("7,2,6,5,4,1,3") == Permutation.from_text("7265413")
-        True
+        >>> Permutation.from_text("2341").entries
+        (2, 3, 4, 1)
+        >>> Permutation.from_text("7,2,6,5,4,1,3").to_text()
+        '7265413'
         """
-        text = text.strip()
-        if not text:
-            raise ValueError("empty permutation text")
-        if "," in text:
-            values = []
-            for piece in text.split(","):
-                piece = piece.strip()
-                if not piece.lstrip("-").isdigit():
-                    raise ValueError(f"value {piece!r} is not an integer")
-                values.append(int(piece))
-        else:
-            for ch in text:
-                if not ch.isdigit():
-                    raise ValueError(f"value {ch!r} is not a digit")
-            values = [int(ch) for ch in text]
-        return cls(tuple(values))
+        return cls(parse_one_line(text, "entry"))
 
     def __str__(self) -> str:
         return self.to_text()

@@ -28,16 +28,12 @@ The ascending-then-descending-then-ascending "zig zag" words are never
 reduced; the sweep checks that too, since it underpins the walk law above.
 
 Sweeps over all of S_n are bounded (default n <= 7) and fail loudly past
-the bound.  They parallelise over permutations with a deterministic
-in-order merge, so results do not depend on the thread count.
+the bound.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, TypeVar
 
 from redword import kernels
 from redword.errors import SweepBoundExceeded
@@ -45,9 +41,6 @@ from redword.perm import Permutation, all_permutations, longest_element
 from redword.words import Word, is_vee, is_wedge, pinnacle_vale
 
 SINGLETON_SWEEP_BOUND = 7
-
-T = TypeVar("T")
-U = TypeVar("U")
 
 
 def singleton_words(p: Permutation) -> list[Word]:
@@ -327,18 +320,6 @@ class SearchResult:
     matches: tuple[tuple[Permutation, tuple[Word, ...]], ...]
 
 
-def _map_in_order(
-    items: list[T], fn: Callable[[T], U], threads: int | None
-) -> list[U]:
-    # deterministic: results always merge in input order
-    if threads is None:
-        threads = os.cpu_count() or 1
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _check_one_word(w: Word) -> tuple[int, list[Violation]]:
     subject = f"{w.to_text()} (n={w.degree})"
     violations: list[Violation] = []
@@ -371,9 +352,7 @@ def _check_one_word(w: Word) -> tuple[int, list[Violation]]:
 
 
 def verify_theorem_sweep(
-    max_n: int,
-    sweep_bound: int = SINGLETON_SWEEP_BOUND,
-    threads: int | None = None,
+    max_n: int, sweep_bound: int = SINGLETON_SWEEP_BOUND
 ) -> VerificationReport:
     """Run every structural check on every singleton word of every
     permutation of degree at most ``max_n``.  Empty words (identity
@@ -389,29 +368,16 @@ def verify_theorem_sweep(
     degenerate = 0
     checks_run = 0
     violations: list[Violation] = []
-
-    def per_permutation(p: Permutation) -> tuple[int, int, int, list[Violation]]:
-        checked = 0
-        empty = 0
-        checks = 0
-        found: list[Violation] = []
-        for w in singleton_words(p):
-            if not w.letters:
-                empty += 1
-                continue
-            checked += 1
-            word_checks, word_violations = _check_one_word(w)
-            checks += word_checks
-            found.extend(word_violations)
-        return checked, empty, checks, found
-
     for n in range(1, max_n + 1):
-        results = _map_in_order(list(all_permutations(n)), per_permutation, threads)
-        for checked, empty, checks, found in results:
-            words_checked += checked
-            degenerate += empty
-            checks_run += checks
-            violations.extend(found)
+        for p in all_permutations(n):
+            for w in singleton_words(p):
+                if not w.letters:
+                    degenerate += 1
+                    continue
+                words_checked += 1
+                word_checks, word_violations = _check_one_word(w)
+                checks_run += word_checks
+                violations.extend(word_violations)
     return VerificationReport(
         max_n, words_checked, degenerate, checks_run, tuple(violations)
     )
@@ -470,10 +436,7 @@ def verify_zigzag_sweep(max_n: int) -> ZigzagSweepReport:
 
 
 def search_by_class_count(
-    n: int,
-    k: int,
-    sweep_bound: int = SINGLETON_SWEEP_BOUND,
-    threads: int | None = None,
+    n: int, k: int, sweep_bound: int = SINGLETON_SWEEP_BOUND
 ) -> SearchResult:
     """All permutations of degree ``n`` with exactly ``k`` singleton words.
 
@@ -485,12 +448,9 @@ def search_by_class_count(
         raise ValueError(f"degree {n} is not positive")
     if n > sweep_bound:
         raise SweepBoundExceeded(n, sweep_bound)
-
-    def probe(p: Permutation) -> tuple[Permutation, tuple[Word, ...]] | None:
+    matches = []
+    for p in all_permutations(n):
         words = singleton_words(p)
         if len(words) == k:
-            return (p, tuple(words))
-        return None
-
-    results = _map_in_order(list(all_permutations(n)), probe, threads)
-    return SearchResult(n, k, tuple(r for r in results if r is not None))
+            matches.append((p, tuple(words)))
+    return SearchResult(n, k, tuple(matches))

@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Sequence
 
-from redword.perm import Permutation, longest_element
+from redword.perm import Permutation, longest_element, parse_one_line
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -120,26 +120,7 @@ class Word:
         >>> Word.from_text("123212", 4)
         <Word '123212' n=4>
         """
-        text = text.strip()
-        if not text:
-            return cls((), degree)
-        if "," in text:
-            letters = []
-            for position, piece in enumerate(text.split(","), start=1):
-                piece = piece.strip()
-                if not piece.lstrip("-").isdigit():
-                    raise ValueError(
-                        f"invalid letter {piece!r} at position {position}"
-                    )
-                letters.append(int(piece))
-        else:
-            for position, ch in enumerate(text, start=1):
-                if not ch.isdigit():
-                    raise ValueError(
-                        f"invalid letter {ch!r} at position {position}"
-                    )
-            letters = [int(ch) for ch in text]
-        return cls(tuple(letters), degree)
+        return cls(parse_one_line(text, "letter"), degree)
 
     def __str__(self) -> str:
         return self.to_text()

@@ -77,12 +77,12 @@ def test_criterion_03_degree7_example(capsys):
 
 
 def test_criterion_04_structural_law_sweep(capsys):
-    elapsed, result = timed(lambda: verify_theorem_sweep(6, threads=1))
+    elapsed, result = timed(lambda: verify_theorem_sweep(6))
     assert result.ok
     assert result.violations == ()
     assert elapsed < 120.0
     report(capsys, 4, f"{result.words_checked} singleton words up to degree 6,"
-                      f" 0 violations, {elapsed:.2f} s single-threaded")
+                      f" 0 violations, {elapsed:.2f} s")
 
 
 def test_criterion_05_zigzag_sweep(capsys):
@@ -144,7 +144,7 @@ def test_criterion_09_symmetry_contracts(capsys):
 
 
 def test_criterion_10_search(capsys):
-    elapsed, result = timed(lambda: search_by_class_count(7, 4, threads=1))
+    elapsed, result = timed(lambda: search_by_class_count(7, 4))
     found = {p.entries for p, _ in result.matches}
     assert (7, 6, 5, 4, 3, 2, 1) in found
     assert (7, 2, 6, 5, 4, 1, 3) in found

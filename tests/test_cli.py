@@ -5,7 +5,9 @@ import json
 
 import pytest
 
-from redword.cli import parse_permutation, parse_word, run
+from redword.cli import run
+from redword.perm import Permutation
+from redword.words import Word
 
 
 def invoke(capsys, *argv):
@@ -15,21 +17,23 @@ def invoke(capsys, *argv):
 
 
 def test_parse_permutation():
-    assert parse_permutation("2341").entries == (2, 3, 4, 1)
-    assert parse_permutation("7,2,6,5,4,1,3").entries == (7, 2, 6, 5, 4, 1, 3)
+    # the commands read permutation arguments with Permutation.from_text
+    assert Permutation.from_text("2341").entries == (2, 3, 4, 1)
+    assert Permutation.from_text("7,2,6,5,4,1,3").entries == (7, 2, 6, 5, 4, 1, 3)
     with pytest.raises(ValueError, match="value 3 repeated"):
-        parse_permutation("2331")
+        Permutation.from_text("2331")
     with pytest.raises(ValueError, match="invalid entry 'x' at position 2"):
-        parse_permutation("1x3")
+        Permutation.from_text("1x3")
     with pytest.raises(ValueError, match="empty"):
-        parse_permutation("  ")
+        Permutation.from_text("  ")
 
 
 def test_parse_word():
-    assert parse_word("123212", 4).letters == (1, 2, 3, 2, 1, 2)
-    assert parse_word("4345654321234543", 7).to_text() == "4345654321234543"
+    # the commands read word arguments with Word.from_text
+    assert Word.from_text("123212", 4).letters == (1, 2, 3, 2, 1, 2)
+    assert Word.from_text("4345654321234543", 7).to_text() == "4345654321234543"
     with pytest.raises(ValueError, match="letter 5 exceeds n-1 = 3 at position 2"):
-        parse_word("15", 4)
+        Word.from_text("15", 4)
 
 
 def test_eval_command(capsys):
@@ -56,11 +60,10 @@ def test_output_is_byte_identical_across_runs(capsys):
     assert first[1] == second[1]
 
 
-def test_verify_is_byte_identical_across_thread_counts(capsys):
-    one = invoke(capsys, "verify", "--max-n", "4", "--threads", "1")
-    four = invoke(capsys, "verify", "--max-n", "4", "--threads", "4")
-    assert one[0] == four[0] == 0
-    assert one[1] == four[1]
+def test_sweeps_take_no_thread_option(capsys):
+    code, out, _ = invoke(capsys, "verify", "--max-n", "4", "--threads", "2")
+    assert code == 2
+    assert out == ""
 
 
 def test_parse_errors_exit_2(capsys):
@@ -72,6 +75,15 @@ def test_parse_errors_exit_2(capsys):
     code, _, err = invoke(capsys, "reduced-words", "2331")
     assert code == 2
     assert "value 3 repeated" in err
+
+    # digits outside ASCII are no entries or letters, though str.isdigit
+    # accepts them
+    code, out, err = invoke(capsys, "eval", "--n", "4", "１２")
+    assert (code, out) == (2, "")
+    assert "invalid letter '１' at position 1" in err
+    code, out, err = invoke(capsys, "reduced-words", "٢١")
+    assert (code, out) == (2, "")
+    assert "invalid entry '٢' at position 1" in err
 
     code, _, _ = invoke(capsys, "no-such-command")
     assert code == 2
@@ -204,6 +216,20 @@ def test_verify_json(capsys):
     assert results["degenerate_words"] == 3
     assert results["violations"] == []
 
+    code, out, _ = invoke(capsys, "verify", "--max-n", "5", "--format", "json")
+    assert code == 0
+    document = json.loads(out)
+    assert document["inputs"] == {"max_n": 5, "sweep_bound": 7}
+    assert document["results"] == {
+        "checks_run": 744,
+        "degenerate_words": 5,
+        "max_degree": 5,
+        "singleton_words_checked": 120,
+        "violation_count": 0,
+        "violations": [],
+        "zigzag_cases_checked": 10,
+    }
+
 
 def test_search_command(capsys):
     code, out, _ = invoke(capsys, "search", "--n", "4", "--class-count", "0")
@@ -253,4 +279,28 @@ def test_json_word_payload_shape(capsys):
 def test_round_trip_parse_format_parse(capsys):
     code, out, _ = invoke(capsys, "eval", "--n", "7", "4345654321234543")
     assert code == 0
-    assert parse_permutation(out.strip()).entries == (7, 2, 6, 5, 4, 1, 3)
+    assert Permutation.from_text(out.strip()).entries == (7, 2, 6, 5, 4, 1, 3)
+
+
+def test_word_list_output_bytes_are_pinned(capsys, monkeypatch):
+    # each command renders only the requested format; the bytes are the
+    # output contract
+    monkeypatch.delenv("REDWORD_MAX_WORDS", raising=False)
+    expected = {
+        ("reduced-words", "4321"):
+            "a7c14241849cdfde65da87d30edb082d0c8da43a73552c53407774dbdeb7c626",
+        ("reduced-words", "4321", "--format", "json"):
+            "eb779ab3e38d347226648e1d79f9f4c0cf7734b7fd7f4f3dcc5393f7cbb271b6",
+        ("singletons", "7,2,6,5,4,1,3"):
+            "ca1411987ef1dbc0ea373e9970d94b73ffec9d5d917ef3782bafbb5e7655568a",
+        ("singletons", "7,2,6,5,4,1,3", "--format", "json"):
+            "941eff0d5b2958d46da6ef50e33a825bd5cd8e871f8fc67c77afc50d64cee77d",
+        ("verify", "--max-n", "6"):
+            "9a3a3bd5d57518ff409836f228a6cfd17fbc5b27cc90dab1fb3ba1963098cc23",
+        ("search", "--n", "6", "--class-count", "2"):
+            "86ef4133a2c8037e7eda8d02bf81b7684b2df5f7dca1f6b2e1b88afb1e7295bb",
+    }
+    for argv, digest in expected.items():
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -120,10 +120,25 @@ def test_text_round_trip():
     assert "," in big.to_text()
     assert Permutation.from_text(big.to_text()) == big
     assert Permutation.from_text("2341").to_text() == "2341"
-    with pytest.raises(ValueError):
-        Permutation.from_text("")
-    with pytest.raises(ValueError, match="not a digit"):
+    # blank text parses to no entries, which is no permutation
+    for blank in ("", "  "):
+        with pytest.raises(ValueError, match="degree 0"):
+            Permutation.from_text(blank)
+    with pytest.raises(ValueError, match="value 3 repeated"):
+        Permutation.from_text("2331")
+    with pytest.raises(ValueError, match="invalid entry 'x' at position 2"):
+        Permutation.from_text("1x3")
+    with pytest.raises(ValueError, match="invalid entry 'x' at position 3"):
         Permutation.from_text("12x4")
+    with pytest.raises(ValueError, match="invalid entry '' at position 3"):
+        Permutation.from_text("2,1,")
+    with pytest.raises(ValueError, match="invalid entry '-1' at position 1"):
+        Permutation.from_text("-1,2")
+    # str.isdigit accepts these; only ASCII digits are entries
+    with pytest.raises(ValueError, match="invalid entry '２' at position 1"):
+        Permutation.from_text("２１")
+    with pytest.raises(ValueError, match="invalid entry '١٠' at position 1"):
+        Permutation.from_text("١٠,2,1")
 
 
 def test_repr_is_compact():

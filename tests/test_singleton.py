@@ -250,12 +250,3 @@ def test_verify_theorem_sweep_bound():
         verify_theorem_sweep(8)
     with pytest.raises(SweepBoundExceeded):
         verify_theorem_sweep(9, sweep_bound=8)
-
-
-def test_sweep_is_deterministic_across_thread_counts():
-    single = verify_theorem_sweep(4, threads=1)
-    threaded = verify_theorem_sweep(4, threads=4)
-    assert single == threaded
-    s_single = search_by_class_count(5, 2, threads=1)
-    s_threaded = search_by_class_count(5, 2, threads=4)
-    assert s_single == s_threaded

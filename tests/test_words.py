@@ -102,8 +102,18 @@ def test_text_round_trip():
     assert Word.from_text("123212", 4).letters == (1, 2, 3, 2, 1, 2)
     with pytest.raises(ValueError, match="invalid letter"):
         Word.from_text("12x", 4)
-    with pytest.raises(ValueError, match="invalid letter"):
+    with pytest.raises(ValueError, match="invalid letter 'x' at position 2"):
         Word.from_text("1,x", 12)
+    assert Word.from_text("4345654321234543", 7).to_text() == "4345654321234543"
+    with pytest.raises(ValueError, match="letter 5 exceeds n-1 = 3 at position 2"):
+        Word.from_text("15", 4)
+    # str.isdigit accepts these; only ASCII digits are letters
+    with pytest.raises(ValueError, match="invalid letter '１' at position 1"):
+        Word.from_text("１２", 4)
+    with pytest.raises(ValueError, match="invalid letter '٢' at position 1"):
+        Word.from_text("٢١", 4)
+    with pytest.raises(ValueError, match="invalid letter '¹' at position 2"):
+        Word.from_text("1¹", 4)
     assert repr(Word((1, 2), 4)) == "<Word '12' n=4>"
 
 
