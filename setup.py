@@ -1,24 +1,12 @@
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    cythonize = None
-
-# The compiled kernels are optional: redword.kernels falls back to the pure
-# Python implementation when the extension is missing.
-if cythonize is not None:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "redword._speedups",
-                ["src/redword/_speedups.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-else:
-    ext_modules = []
-
-setup(ext_modules=ext_modules)
+# The compiled kernels are optional: when no C compiler can build them,
+# installing still succeeds and redword.kernels falls back to the pure
+# Python implementation.
+setup(
+    ext_modules=[
+        Extension(
+            "redword._speedups", ["src/redword/_speedups.c"], optional=True
+        )
+    ]
+)

@@ -1,28 +1,39 @@
 """
 Pure-Python enumeration kernels.
 
-These are the hot loops of the package: depth-first searches over the
-letter-by-letter factorisations of a permutation.  A compiled twin lives in
-``_speedups``; ``kernels`` picks whichever is available.  Both backends take
-a plain entry tuple and return plain letter tuples, so they stay free of the
-dataclass layer.
+These are the hot loops of the package.  A compiled twin, written in C,
+lives in ``_speedups``; ``kernels`` picks whichever is available.  Both
+backends take a plain entry tuple, raise ValueError unless it is a
+permutation of 1..n, and return plain letter tuples, so they stay free of
+the dataclass layer.  Neither recurses, so neither has a depth limit.
 
 The search state is the inverse permutation stored as a 0-indexed position
 array ``r`` with ``r[v-1]`` = position of the value v.  The letter i can
 start a factorisation exactly when the values i and i+1 are out of order,
 i.e. ``r[i-1] > r[i]``; consuming that letter swaps the two slots and drops
-the inversion count by one.  Trying letters in ascending order makes the
-output lexicographic.
+the inversion count by one.
+
+The word lists are depth-first searches with an explicit stack of letter
+iterators, one per depth.  Trying letters in ascending order makes the
+output lexicographic.  The count walks the lower weak-order interval one
+length at a time, holding only two levels.
 """
 
 from __future__ import annotations
+
+import math
 
 from redword.errors import EnumerationCapExceeded
 
 
 def _positions(entries: tuple[int, ...]) -> list[int]:
-    r = [0] * len(entries)
+    n = len(entries)
+    r = [-1] * n
     for pos, v in enumerate(entries):
+        if not 1 <= v <= n or r[v - 1] >= 0:
+            raise ValueError(
+                f"entries are not a permutation of 1..{n}: {entries!r}"
+            )
         r[v - 1] = pos
     return r
 
@@ -34,6 +45,52 @@ def _inversions(entries: tuple[int, ...]) -> int:
     )
 
 
+def _search(
+    entries: tuple[int, ...], cap: float, adjacent_only: bool
+) -> list[tuple[int, ...]]:
+    """The reduced words in lexicographic order; with ``adjacent_only``,
+    only those whose adjacent letters differ by 1.
+
+    ``stack[d]`` iterates over the letters still to try at depth d.
+    """
+    n = len(entries)
+    # r[i] > r[i + 1] tests the letter i; the sentinels make the letters 0
+    # and n, which neighbour probes reach, never test true
+    r = [-1, *_positions(entries), n]
+    total = _inversions(entries)
+    if total == 0:
+        if cap <= 0:
+            raise EnumerationCapExceeded(cap, 0)
+        return [()]
+    out: list[tuple[int, ...]] = []
+    word = [0] * total
+    last = total - 1
+    stack = [iter(range(1, n))]
+    depth = 0
+    while True:
+        for i in stack[depth]:
+            if r[i] > r[i + 1]:
+                word[depth] = i
+                if depth == last:
+                    if len(out) >= cap:
+                        raise EnumerationCapExceeded(cap, len(out))
+                    out.append(tuple(word))
+                    continue
+                r[i], r[i + 1] = r[i + 1], r[i]
+                depth += 1
+                stack.append(
+                    iter((i - 1, i + 1) if adjacent_only else range(1, n))
+                )
+                break
+        else:
+            if depth == 0:
+                return out
+            stack.pop()
+            depth -= 1
+            i = word[depth]
+            r[i], r[i + 1] = r[i + 1], r[i]
+
+
 def reduced_word_list(
     entries: tuple[int, ...], cap: int
 ) -> list[tuple[int, ...]]:
@@ -41,50 +98,32 @@ def reduced_word_list(
 
     Raises EnumerationCapExceeded once more than ``cap`` words exist.
     """
-    n = len(entries)
-    r = _positions(entries)
-    total = _inversions(entries)
-    out: list[tuple[int, ...]] = []
-    word: list[int] = []
-
-    def dfs() -> None:
-        if len(word) == total:
-            if len(out) >= cap:
-                raise EnumerationCapExceeded(cap, len(out))
-            out.append(tuple(word))
-            return
-        for i in range(1, n):
-            if r[i - 1] > r[i]:
-                r[i - 1], r[i] = r[i], r[i - 1]
-                word.append(i)
-                dfs()
-                word.pop()
-                r[i - 1], r[i] = r[i], r[i - 1]
-
-    dfs()
-    return out
+    return _search(entries, cap, False)
 
 
 def reduced_word_count(entries: tuple[int, ...]) -> int:
-    """Number of reduced words, without materialising them."""
-    memo: dict[tuple[int, ...], int] = {}
+    """Number of reduced words, without materialising them.
 
-    def count(r: tuple[int, ...]) -> int:
-        cached = memo.get(r)
-        if cached is not None:
-            return cached
-        total = 0
-        for i in range(1, len(r)):
-            if r[i - 1] > r[i]:
-                swapped = list(r)
-                swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
-                total += count(tuple(swapped))
-        if total == 0:
-            total = 1
-        memo[r] = total
-        return total
-
-    return count(tuple(_positions(entries)))
+    Each level maps the position arrays one letter further down the lower
+    interval to their numbers of paths from the start; the walk ends at the
+    identity, the only state without a descent.
+    """
+    level = {tuple(_positions(entries)): 1}
+    while True:
+        below: dict[tuple[int, ...], int] = {}
+        for r, ways in level.items():
+            s = list(r)
+            for i in range(1, len(s)):
+                a, b = s[i - 1], s[i]
+                if a > b:
+                    s[i - 1], s[i] = b, a
+                    child = tuple(s)
+                    s[i - 1], s[i] = a, b
+                    below[child] = below.get(child, 0) + ways
+        if not below:
+            (count,) = level.values()
+            return count
+        level = below
 
 
 def singleton_word_list(entries: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -95,32 +134,4 @@ def singleton_word_list(entries: tuple[int, ...]) -> list[tuple[int, ...]]:
     commutation class.  After the first letter the search only ever probes
     the two neighbouring letter values, which keeps the tree tiny.
     """
-    n = len(entries)
-    r = _positions(entries)
-    total = _inversions(entries)
-    out: list[tuple[int, ...]] = []
-    word: list[int] = []
-
-    def step(i: int) -> None:
-        r[i - 1], r[i] = r[i], r[i - 1]
-        word.append(i)
-        dfs()
-        word.pop()
-        r[i - 1], r[i] = r[i], r[i - 1]
-
-    def dfs() -> None:
-        if len(word) == total:
-            out.append(tuple(word))
-            return
-        if not word:
-            for i in range(1, n):
-                if r[i - 1] > r[i]:
-                    step(i)
-            return
-        prev = word[-1]
-        for i in (prev - 1, prev + 1):
-            if 1 <= i <= n - 1 and r[i - 1] > r[i]:
-                step(i)
-
-    dfs()
-    return out
+    return _search(entries, math.inf, True)

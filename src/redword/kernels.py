@@ -1,7 +1,8 @@
 """
 Backend selection for the enumeration kernels.
 
-The compiled ``_speedups`` module is used when its extension built; the
+The compiled ``_speedups`` module, built by ``setup.py`` from the
+hand-written C file ``_speedups.c``, is used when its extension built; the
 pure-Python ``_pure`` module is the fallback.  Setting the environment
 variable REDWORD_NO_SPEEDUPS to a non-empty value forces the fallback, which
 the test suite and the benchmark use to compare the two implementations.

@@ -37,7 +37,7 @@ import dataclasses
 
 from redword import kernels
 from redword.errors import SweepBoundExceeded
-from redword.perm import Permutation, all_permutations, longest_element
+from redword.perm import Permutation, all_permutations
 from redword.words import Word, is_vee, is_wedge, pinnacle_vale
 
 SINGLETON_SWEEP_BOUND = 7

@@ -109,14 +109,23 @@ def test_reduced_words_cap_exits_3(capsys):
     assert "cap" in err
 
 
-def test_recursion_limit_exits_3(capsys):
+def test_long_cycle_is_counted(capsys):
     # the cycle 2,3,...,1100,1 has one reduced word of 1099 letters, deeper
-    # than the default recursion limit of the pure kernels
+    # than Python's default recursion limit; no kernel recurses
     cycle = ",".join(map(str, [*range(2, 1101), 1]))
-    code, out, err = invoke(capsys, "reduced-words", cycle, "--count-only")
+    code, out, _ = invoke(capsys, "reduced-words", cycle, "--count-only")
+    assert (code, out) == (0, "1\n")
+
+
+def test_recursion_limit_exits_3(capsys, monkeypatch):
+    def too_deep(p):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("redword.cli.count_reduced_words", too_deep)
+    code, out, err = invoke(capsys, "reduced-words", "4321", "--count-only")
     assert code == 3
     assert out == ""
-    assert err.startswith("error: ")
+    assert err.startswith("error: input too large: RecursionError(")
     assert "Traceback" not in err
 
 

@@ -1,4 +1,8 @@
-"""Both enumeration backends must agree everywhere they can run."""
+"""Both enumeration backends must agree everywhere they can run.
+
+The compiled backend is built afresh by the ``built_package`` fixture in
+``conftest.py``; its tests skip only when no C compiler is available.
+"""
 
 import os
 import subprocess
@@ -9,19 +13,21 @@ import pytest
 import redword._pure as pure_backend
 from redword.errors import EnumerationCapExceeded
 from redword.perm import all_permutations, longest_element
-
-BACKENDS = [pytest.param(pure_backend, id="pure")]
-try:
-    import redword._speedups as compiled_backend
-
-    BACKENDS.append(pytest.param(compiled_backend, id="compiled"))
-except ImportError:
-    compiled_backend = None
+from test_classes import staircase_tableaux_count
 
 BIG = 10**9
+# the cycle 2,3,...,1100,1: one reduced word of 1099 letters, deeper than
+# Python's default recursion limit
+LONG_CYCLE = (*range(2, 1101), 1)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.fixture(params=["pure", "compiled"])
+def backend(request):
+    if request.param == "pure":
+        return pure_backend
+    return request.getfixturevalue("compiled_backend")
+
+
 def test_reduced_words_small_cases(backend):
     assert backend.reduced_word_list((3, 2, 1), BIG) == [(1, 2, 1), (2, 1, 2)]
     assert backend.reduced_word_list((2, 1, 4, 3), BIG) == [(1, 3), (3, 1)]
@@ -30,7 +36,6 @@ def test_reduced_words_small_cases(backend):
     assert len(backend.reduced_word_list((4, 3, 2, 1), BIG)) == 16
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_reduced_words_sorted_and_distinct(backend):
     for p in all_permutations(4):
         words = backend.reduced_word_list(p.entries, BIG)
@@ -38,7 +43,6 @@ def test_reduced_words_sorted_and_distinct(backend):
         assert len(words) == len(set(words))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_count_agrees_with_list(backend):
     for n in range(1, 6):
         for p in all_permutations(n):
@@ -46,7 +50,6 @@ def test_count_agrees_with_list(backend):
             assert backend.reduced_word_count(p.entries) == len(words)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_count_longest_elements(backend):
     assert backend.reduced_word_count((4, 3, 2, 1)) == 16
     assert backend.reduced_word_count((5, 4, 3, 2, 1)) == 768
@@ -54,7 +57,6 @@ def test_count_longest_elements(backend):
     assert backend.reduced_word_count((1, 2, 3, 4, 5)) == 1
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_cap_is_enforced(backend):
     with pytest.raises(EnumerationCapExceeded) as info:
         backend.reduced_word_list((4, 3, 2, 1), 5)
@@ -64,7 +66,6 @@ def test_cap_is_enforced(backend):
     assert len(backend.reduced_word_list((4, 3, 2, 1), 16)) == 16
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_singleton_words_small_cases(backend):
     assert backend.singleton_word_list((3, 2, 1)) == [(1, 2, 1), (2, 1, 2)]
     assert backend.singleton_word_list((2, 1, 4, 3)) == []
@@ -73,7 +74,6 @@ def test_singleton_words_small_cases(backend):
     assert len(words) == 4
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_singleton_words_match_filtered_enumeration(backend):
     for n in range(1, 6):
         for p in all_permutations(n):
@@ -86,22 +86,68 @@ def test_singleton_words_match_filtered_enumeration(backend):
             assert backend.singleton_word_list(p.entries) == filtered
 
 
-@pytest.mark.skipif(compiled_backend is None, reason="extension not built")
-def test_backends_agree():
-    for n in range(1, 6):
+def test_long_words_need_no_recursion(backend):
+    word = tuple(range(1, 1100))
+    assert backend.reduced_word_list(LONG_CYCLE, BIG) == [word]
+    assert backend.reduced_word_count(LONG_CYCLE) == 1
+    assert backend.singleton_word_list(LONG_CYCLE) == [word]
+
+
+def test_backends_agree(compiled_backend):
+    compiled = compiled_backend
+    for n in range(1, 8):
         for p in all_permutations(n):
             entries = p.entries
-            assert pure_backend.reduced_word_list(
-                entries, BIG
-            ) == compiled_backend.reduced_word_list(entries, BIG)
             assert pure_backend.reduced_word_count(
                 entries
-            ) == compiled_backend.reduced_word_count(entries)
+            ) == compiled.reduced_word_count(entries)
             assert pure_backend.singleton_word_list(
                 entries
-            ) == compiled_backend.singleton_word_list(entries)
-    w0 = longest_element(7).entries
-    assert pure_backend.singleton_word_list(w0) == compiled_backend.singleton_word_list(w0)
+            ) == compiled.singleton_word_list(entries)
+            if n <= 6:
+                assert pure_backend.reduced_word_list(
+                    entries, BIG
+                ) == compiled.reduced_word_list(entries, BIG)
+
+    # degree 9 is the first whose count passes 2**64
+    for n in (8, 9, 10):
+        w0 = longest_element(n).entries
+        assert compiled.reduced_word_count(w0) == staircase_tableaux_count(n)
+    assert staircase_tableaux_count(9) > 2**64
+    w0 = longest_element(8).entries
+    assert pure_backend.reduced_word_count(w0) == staircase_tableaux_count(8)
+
+    # past degree 16 the packed counter hands over to the pure one
+    s1s2s1 = (3, 2, 1, *range(4, 18))
+    for backend in (pure_backend, compiled):
+        assert backend.reduced_word_count(s1s2s1) == 2
+        assert backend.reduced_word_list(s1s2s1, BIG) == [(1, 2, 1), (2, 1, 2)]
+        assert backend.singleton_word_list(s1s2s1) == [(1, 2, 1), (2, 1, 2)]
+    top = (*range(1, 13), 17, 16, 15, 14, 13)
+    assert compiled.reduced_word_count(top) == 768
+    assert compiled.reduced_word_list(top, BIG) == pure_backend.reduced_word_list(
+        top, BIG
+    )
+    assert compiled.singleton_word_list(top) == pure_backend.singleton_word_list(top)
+
+    # the cap: a list of exactly cap words is returned, one more raises
+    for entries in ((4, 3, 2, 1), (2, 4, 1, 5, 3), (1, 2, 3)):
+        words = pure_backend.reduced_word_list(entries, BIG)
+        cap = len(words)
+        assert compiled.reduced_word_list(entries, cap) == words
+        for backend in (pure_backend, compiled):
+            with pytest.raises(EnumerationCapExceeded) as info:
+                backend.reduced_word_list(entries, cap - 1)
+            assert (info.value.cap, info.value.partial_count) == (cap - 1, cap - 1)
+
+    for bad in ((1, 1, 2), (0, 1), (3, 1), (2, 3)):
+        for backend in (pure_backend, compiled):
+            with pytest.raises(ValueError, match="not a permutation"):
+                backend.reduced_word_list(bad, BIG)
+            with pytest.raises(ValueError, match="not a permutation"):
+                backend.reduced_word_count(bad)
+            with pytest.raises(ValueError, match="not a permutation"):
+                backend.singleton_word_list(bad)
 
 
 def test_env_var_forces_pure_backend():
@@ -113,9 +159,9 @@ def test_env_var_forces_pure_backend():
     assert out.stdout.strip() == "pure"
 
 
-@pytest.mark.skipif(compiled_backend is None, reason="extension not built")
-def test_default_backend_is_compiled_when_built():
+def test_default_backend_is_compiled_when_built(built_package):
     env = {k: v for k, v in os.environ.items() if k != "REDWORD_NO_SPEEDUPS"}
+    env["PYTHONPATH"] = str(built_package)
     probe = "import redword.kernels as k; print(k.BACKEND)"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True
