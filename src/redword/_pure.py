@@ -1,11 +1,12 @@
 """
-Pure-Python enumeration kernels.
+Pure-Python kernels: the reduced-word lists and the reduced-word count.
 
-These are the hot loops of the package.  A compiled twin, written in C,
-lives in ``_speedups``; ``kernels`` picks whichever is available.  Both
-backends take a plain entry tuple, raise ValueError unless it is a
-permutation of 1..n, and return plain letter tuples, so they stay free of
-the dataclass layer.  Neither recurses, so neither has a depth limit.
+These are the hot loops of the package.  The two word lists have a compiled
+twin, written in C, in ``_speedups``; ``kernels`` picks whichever is
+available.  The count is implemented here only and serves both backends.
+Every kernel takes a plain entry tuple, raises ValueError unless it is a
+permutation of 1..n, and returns plain tuples or ints, so the kernels stay
+free of the dataclass layer.  None recurses, so none has a depth limit.
 
 The search state is the inverse permutation stored as a 0-indexed position
 array ``r`` with ``r[v-1]`` = position of the value v.  The letter i can
@@ -15,8 +16,9 @@ the inversion count by one.
 
 The word lists are depth-first searches with an explicit stack of letter
 iterators, one per depth.  Trying letters in ascending order makes the
-output lexicographic.  The count walks the lower weak-order interval one
-length at a time, holding only two levels.
+output lexicographic.  The count enumerates no words: it walks the
+transition tree of the permutation down to vexillary leaves, each counted
+by the hook-length formula.
 """
 
 from __future__ import annotations
@@ -101,29 +103,96 @@ def reduced_word_list(
     return _search(entries, cap, False)
 
 
-def reduced_word_count(entries: tuple[int, ...]) -> int:
-    """Number of reduced words, without materialising them.
+def _is_vexillary(w: tuple[int, ...]) -> bool:
+    """Whether w avoids the pattern 2143, in one O(n^2) pass.
 
-    Each level maps the position arrays one letter further down the lower
-    interval to their numbers of paths from the start; the walk ends at the
-    identity, the only state without a descent.
+    For each c, ``low`` is the least w(a) over inversions (a, b) with
+    b < c; the pattern occurs with its "4" at c exactly when some d > c
+    has low < w(d) < w(c).
     """
-    level = {tuple(_positions(entries)): 1}
-    while True:
-        below: dict[tuple[int, ...], int] = {}
-        for r, ways in level.items():
-            s = list(r)
-            for i in range(1, len(s)):
-                a, b = s[i - 1], s[i]
-                if a > b:
-                    s[i - 1], s[i] = b, a
-                    child = tuple(s)
-                    s[i - 1], s[i] = a, b
-                    below[child] = below.get(child, 0) + ways
-        if not below:
-            (count,) = level.values()
-            return count
-        level = below
+    n = len(w)
+    low = n + 1
+    for c in range(2, n - 1):
+        b = w[c - 1]
+        for x in w[: c - 1]:
+            if b < x < low:
+                low = x
+        top = w[c]
+        for x in w[c + 1 :]:
+            if low < x < top:
+                return False
+    return True
+
+
+def _hook_count(w: tuple[int, ...]) -> int:
+    """f^lambda by the hook-length formula, lambda the sorted Lehmer code."""
+    shape = sorted(
+        (sum(1 for y in w[a + 1 :] if y < x) for a, x in enumerate(w)),
+        reverse=True,
+    )
+    width = max(shape, default=0)
+    column = [sum(1 for row in shape if row > j) for j in range(width)]
+    hooks = 1
+    for i, row in enumerate(shape):
+        for j in range(row):
+            hooks *= row - j + column[j] - i - 1
+    return math.factorial(sum(shape)) // hooks
+
+
+def _transitions(w: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The children of w in the Lascoux-Schutzenberger transition tree.
+
+    With r the last descent and s the last position right of it holding a
+    value below w(r), v = w t_rs; the children are v t_ir for each i < r
+    with v(i) < v(r) and no value between them at positions i+1..r-1.
+    Without such an i the one child is 1 x w, which has one.
+    """
+    n = len(w)
+    r = max(a for a in range(n - 1) if w[a] > w[a + 1])
+    s = max(b for b in range(r + 1, n) if w[b] < w[r])
+    v = list(w)
+    v[r], v[s] = v[s], v[r]
+    top = v[r]
+    low = 0  # the greatest value below top seen at positions i+1..r-1
+    children = []
+    for i in range(r - 1, -1, -1):
+        if low < v[i] < top:
+            low = v[i]
+            u = v.copy()
+            u[i], u[r] = u[r], u[i]
+            children.append(tuple(u))
+    return children or [(1, *(x + 1 for x in w))]
+
+
+def reduced_word_count(entries: tuple[int, ...]) -> int:
+    """Number of reduced words, without enumerating any.
+
+    The count obeys the transition recurrence of the Stanley symmetric
+    function F_w (Lascoux-Schutzenberger, in Little's form): it is the sum
+    over the children of w, and at a vexillary leaf F_w is one Schur
+    function, whose count is f^lambda (Edelman-Greene).  The tree is walked
+    with an explicit stack, so deep trees need no recursion, and memoised
+    within this call only.
+    """
+    _positions(entries)
+    start = tuple(entries)
+    counts: dict[tuple[int, ...], int] = {}
+    stack: list[tuple[tuple[int, ...], list | None]] = [(start, None)]
+    while stack:
+        w, children = stack[-1]
+        if children is not None:
+            counts[w] = sum(counts[u] for u in children)
+            stack.pop()
+        elif w in counts:
+            stack.pop()
+        elif _is_vexillary(w):
+            counts[w] = _hook_count(w)
+            stack.pop()
+        else:
+            children = _transitions(w)
+            stack[-1] = (w, children)
+            stack.extend((u, None) for u in children if u not in counts)
+    return counts[start]
 
 
 def singleton_word_list(entries: tuple[int, ...]) -> list[tuple[int, ...]]:

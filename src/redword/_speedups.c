@@ -1,31 +1,23 @@
 /*
- * Compiled enumeration kernels, mirroring ``_pure`` function for function.
+ * Compiled word-list kernels: ``reduced_word_list`` and
+ * ``singleton_word_list``, with the same contracts as their ``_pure`` twins.
+ * The reduced-word count has only the ``_pure`` implementation, which
+ * enumerates nothing.
  *
  * The search state is the inverse permutation as a position array r, with
  * r[v-1] the 0-indexed position of the value v.  The letter i is a descent
  * exactly when r[i-1] > r[i]; applying it swaps the two slots and drops the
  * inversion count by one.
  *
- * The two word kernels are depth-first searches with an explicit stack: the
- * word itself, since the letter placed at a depth tells where to resume the
- * scan there when the search comes back.  The counter walks the lower
- * weak-order interval one length at a time and keeps only two levels, each
- * an open-addressing hash table from the position array, packed 4 bits per
- * value, to its number of paths from the start, held in 128 bits.
+ * Both kernels are depth-first searches with an explicit stack: the word
+ * itself, since the letter placed at a depth tells where to resume the scan
+ * there when the search comes back.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
 #include <limits.h>
-#include <stdint.h>
-#include <string.h>
-
-#ifndef __SIZEOF_INT128__
-#error "the level counter needs unsigned __int128"
-#endif
-
-typedef unsigned __int128 u128;
 
 /* Reads entries, which must be a permutation of 1..n, into a new position
    array.  Returns NULL with an exception set on failure. */
@@ -217,189 +209,6 @@ fail:
     return NULL;
 }
 
-/* One length level of the interval: an open-addressing hash table, linear
-   probing, from packed position arrays to path counts. */
-typedef struct {
-    uint64_t *keys;
-    u128 *counts;
-    size_t mask;  /* capacity - 1; the capacity is a power of two */
-    size_t used;
-} level_t;
-
-/* No packed position array is all ones: for n >= 2 its nibbles differ. */
-#define EMPTY UINT64_MAX
-
-static int
-level_init(level_t *t, size_t capacity)
-{
-    t->keys = PyMem_Malloc(capacity * sizeof(uint64_t));
-    t->counts = PyMem_Malloc(capacity * sizeof(u128));
-    if (t->keys == NULL || t->counts == NULL) {
-        PyMem_Free(t->keys);
-        PyMem_Free(t->counts);
-        t->keys = NULL;
-        t->counts = NULL;
-        PyErr_NoMemory();
-        return -1;
-    }
-    memset(t->keys, 0xFF, capacity * sizeof(uint64_t));
-    t->mask = capacity - 1;
-    t->used = 0;
-    return 0;
-}
-
-static void
-level_free(level_t *t)
-{
-    PyMem_Free(t->keys);
-    PyMem_Free(t->counts);
-}
-
-static size_t
-level_slot(const level_t *t, uint64_t key)
-{
-    uint64_t h = key * 0x9E3779B97F4A7C15ULL;
-    size_t i = (size_t)(h ^ (h >> 32)) & t->mask;
-    while (t->keys[i] != EMPTY && t->keys[i] != key)
-        i = (i + 1) & t->mask;
-    return i;
-}
-
-static int
-level_grow(level_t *t)
-{
-    level_t bigger;
-    if (level_init(&bigger, 2 * (t->mask + 1)) < 0)
-        return -1;
-    for (size_t i = 0; i <= t->mask; i++) {
-        if (t->keys[i] != EMPTY) {
-            size_t j = level_slot(&bigger, t->keys[i]);
-            bigger.keys[j] = t->keys[i];
-            bigger.counts[j] = t->counts[i];
-        }
-    }
-    bigger.used = t->used;
-    level_free(t);
-    *t = bigger;
-    return 0;
-}
-
-/* Adds ways to the count of key.  Returns 0, 1 on overflow, or -1 with
-   MemoryError set. */
-static int
-level_add(level_t *t, uint64_t key, u128 ways)
-{
-    size_t i = level_slot(t, key);
-    if (t->keys[i] == key)
-        return __builtin_add_overflow(t->counts[i], ways, &t->counts[i]);
-    if (2 * (t->used + 1) > t->mask + 1) {
-        if (level_grow(t) < 0)
-            return -1;
-        i = level_slot(t, key);
-    }
-    t->keys[i] = key;
-    t->counts[i] = ways;
-    t->used++;
-    return 0;
-}
-
-static PyObject *
-u128_to_long(u128 x)
-{
-    char digits[40];  /* 2**128 has 39 decimal digits */
-    char *p = digits + sizeof digits;
-    *--p = '\0';
-    do {
-        *--p = (char)('0' + (int)(x % 10));
-        x /= 10;
-    } while (x);
-    return PyLong_FromString(p, NULL, 10);
-}
-
-static PyObject *
-pure_count(PyObject *entries)
-{
-    PyObject *pure = PyImport_ImportModule("redword._pure");
-    if (pure == NULL)
-        return NULL;
-    PyObject *count = PyObject_CallMethod(pure, "reduced_word_count", "(O)",
-                                          entries);
-    Py_DECREF(pure);
-    return count;
-}
-
-PyDoc_STRVAR(reduced_word_count_doc,
-"reduced_word_count($module, entries, /)\n--\n\n"
-"Number of reduced words, without materialising them.");
-
-static PyObject *
-reduced_word_count(PyObject *module, PyObject *entries)
-{
-    (void)module;
-    Py_ssize_t n;
-    int *r = read_positions(entries, &n);
-    if (r == NULL)
-        return NULL;
-    if (n > 16) {
-        /* the packed keys hold positions below 16 */
-        PyMem_Free(r);
-        return pure_count(entries);
-    }
-    uint64_t start = 0;
-    for (Py_ssize_t v = 0; v < n; v++)
-        start |= (uint64_t)r[v] << (4 * v);
-    PyMem_Free(r);
-
-    level_t here = {0}, below = {0};
-    PyObject *result = NULL;
-    if (level_init(&here, 64) < 0 || level_init(&below, 64) < 0)
-        goto done;
-    level_add(&here, start, 1);
-    for (;;) {
-        for (size_t s = 0; s <= here.mask; s++) {
-            uint64_t key = here.keys[s];
-            if (key == EMPTY)
-                continue;
-            for (int c = 1; c < n; c++) {
-                uint64_t a = (key >> (4 * (c - 1))) & 15;
-                uint64_t b = (key >> (4 * c)) & 15;
-                if (a <= b)
-                    continue;
-                uint64_t flip = a ^ b;
-                int added = level_add(
-                    &below, key ^ (flip << (4 * (c - 1))) ^ (flip << (4 * c)),
-                    here.counts[s]);
-                if (added < 0)
-                    goto done;
-                if (added > 0) {
-                    /* 35! > 2**128: only lengths of 35 and more get here */
-                    level_free(&here);
-                    level_free(&below);
-                    return pure_count(entries);
-                }
-            }
-        }
-        if (below.used == 0)
-            break;
-        level_t t = here;
-        here = below;
-        below = t;
-        memset(below.keys, 0xFF, (below.mask + 1) * sizeof(uint64_t));
-        below.used = 0;
-        if (PyErr_CheckSignals() < 0)
-            goto done;
-    }
-    /* the last level holds the identity alone */
-    for (size_t s = 0; s <= here.mask; s++)
-        if (here.keys[s] != EMPTY)
-            result = u128_to_long(here.counts[s]);
-
-done:
-    level_free(&here);
-    level_free(&below);
-    return result;
-}
-
 PyDoc_STRVAR(reduced_word_list_doc,
 "reduced_word_list($module, entries, cap, /)\n--\n\n"
 "All reduced words of the permutation, in lexicographic order.\n\n"
@@ -430,8 +239,6 @@ singleton_word_list(PyObject *module, PyObject *entries)
 static PyMethodDef speedups_methods[] = {
     {"reduced_word_list", reduced_word_list, METH_VARARGS,
      reduced_word_list_doc},
-    {"reduced_word_count", reduced_word_count, METH_O,
-     reduced_word_count_doc},
     {"singleton_word_list", singleton_word_list, METH_O,
      singleton_word_list_doc},
     {NULL, NULL, 0, NULL},
@@ -440,7 +247,7 @@ static PyMethodDef speedups_methods[] = {
 static struct PyModuleDef speedups_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "redword._speedups",
-    .m_doc = "Compiled enumeration kernels, mirroring redword._pure.",
+    .m_doc = "Compiled word-list kernels, with the contracts of redword._pure.",
     .m_size = 0,
     .m_methods = speedups_methods,
 };

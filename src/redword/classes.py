@@ -80,7 +80,9 @@ def enumerate_reduced_words(
 
 
 def count_reduced_words(p: Permutation) -> int:
-    """The number of reduced words of ``p``, without materialising them.
+    """The number of reduced words of ``p``, with no enumeration: a walk
+    down the transition tree of ``p`` to vexillary permutations, each
+    counted by the hook-length formula.
 
     >>> from redword.perm import Permutation
     >>> count_reduced_words(Permutation((4, 3, 2, 1)))

@@ -1,11 +1,13 @@
 """
 Backend selection for the enumeration kernels.
 
-The compiled ``_speedups`` module, built by ``setup.py`` from the
-hand-written C file ``_speedups.c``, is used when its extension built; the
-pure-Python ``_pure`` module is the fallback.  Setting the environment
-variable REDWORD_NO_SPEEDUPS to a non-empty value forces the fallback, which
-the test suite and the benchmark use to compare the two implementations.
+The word lists have two implementations with the same contracts: the
+compiled ``_speedups`` module, built by ``setup.py`` from the hand-written C
+file ``_speedups.c``, is used when its extension built, and the pure-Python
+``_pure`` module is the fallback.  Setting the environment variable
+REDWORD_NO_SPEEDUPS to a non-empty value forces the fallback.  The count has
+one implementation, ``_pure.reduced_word_count``, which enumerates nothing,
+so it serves both backends.
 """
 
 from __future__ import annotations
@@ -25,5 +27,5 @@ else:
 BACKEND: str = "compiled" if _impl.__name__.endswith("_speedups") else "pure"
 
 reduced_word_list = _impl.reduced_word_list
-reduced_word_count = _impl.reduced_word_count
+reduced_word_count = _pure.reduced_word_count
 singleton_word_list = _impl.singleton_word_list

@@ -117,10 +117,19 @@ class Word:
         """
         Parse the ``to_text`` format; the empty string is the empty word.
 
+        Past degree 10, ``to_text`` writes a one-letter word as its number,
+        so a text there without a comma that names a letter is that letter.
+
         >>> Word.from_text("123212", 4)
         <Word '123212' n=4>
+        >>> Word.from_text("11", 12)
+        <Word '11' n=12>
         """
-        return cls(parse_one_line(text, "letter"), degree)
+        letters = parse_one_line(text, "letter")
+        if degree > 10 and "," not in text and 1 < len(letters) <= len(str(degree)):
+            if (whole := int(text)) < degree:
+                letters = (whole,)
+        return cls(letters, degree)
 
     def __str__(self) -> str:
         return self.to_text()

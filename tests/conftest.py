@@ -36,7 +36,7 @@ def built_package(tmp_path_factory) -> pathlib.Path:
         lib / "redword",
         ignore=shutil.ignore_patterns("__pycache__", "*.so", "*.c"),
     )
-    env = dict(os.environ, CFLAGS="-Wall -Wextra -Werror")
+    env = dict(os.environ, CFLAGS="-std=c99 -Wall -Wextra -Wpedantic -Werror")
     done = subprocess.run(
         [sys.executable, "setup.py", "build_ext",
          "--build-lib", str(lib), "--build-temp", str(base / "obj")],

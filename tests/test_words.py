@@ -99,6 +99,12 @@ def test_text_round_trip():
     big = Word((1, 10, 11), 12)
     assert big.to_text() == "1,10,11"
     assert Word.from_text(big.to_text(), 12) == big
+    # past degree 10 a one-letter word is written without a comma
+    for letter in (9, 10, 11):
+        w = Word((letter,), 12)
+        assert w.to_text() == str(letter)
+        assert Word.from_text(w.to_text(), 12) == w
+    assert Word.from_text("123", 12).letters == (1, 2, 3)
     assert Word.from_text("123212", 4).letters == (1, 2, 3, 2, 1, 2)
     with pytest.raises(ValueError, match="invalid letter"):
         Word.from_text("12x", 4)
