@@ -81,11 +81,15 @@ def test_count_agrees_with_list(backend):
             assert reduced_word_count(p.entries) == len(words)
 
 
-def test_count_longest_elements():
+def test_count_longest_elements(backend):
     assert reduced_word_count((4, 3, 2, 1)) == 16
     assert reduced_word_count((5, 4, 3, 2, 1)) == 768
     assert reduced_word_count((6, 5, 4, 3, 2, 1)) == 292864
     assert reduced_word_count((1, 2, 3, 4, 5)) == 1
+    # each backend enumerates exactly as many words as the one count gives
+    for entries in ((4, 3, 2, 1), (5, 4, 3, 2, 1), (1, 2, 3, 4, 5)):
+        words = backend.reduced_word_list(entries, BIG)
+        assert len(words) == reduced_word_count(entries)
 
 
 def test_count_matches_level_walk():
