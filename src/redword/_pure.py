@@ -16,16 +16,15 @@ the inversion count by one.
 
 The word lists are depth-first searches with an explicit stack of letter
 iterators, one per depth.  Trying letters in ascending order makes the
-output lexicographic.  The count enumerates no words: it walks the
-transition tree of the permutation down to vexillary leaves, each counted
-by the hook-length formula.
+output lexicographic.  Neither takes a cap: ``classes`` settles its word
+cap with the count before it asks for a list.  The count enumerates no
+words: it walks the transition tree of the permutation down to vexillary
+leaves, each counted by the hook-length formula.
 """
 
 from __future__ import annotations
 
 import math
-
-from redword.errors import EnumerationCapExceeded
 
 
 def _positions(entries: tuple[int, ...]) -> list[int]:
@@ -48,7 +47,7 @@ def _inversions(entries: tuple[int, ...]) -> int:
 
 
 def _search(
-    entries: tuple[int, ...], cap: float, adjacent_only: bool
+    entries: tuple[int, ...], adjacent_only: bool
 ) -> list[tuple[int, ...]]:
     """The reduced words in lexicographic order; with ``adjacent_only``,
     only those whose adjacent letters differ by 1.
@@ -61,8 +60,6 @@ def _search(
     r = [-1, *_positions(entries), n]
     total = _inversions(entries)
     if total == 0:
-        if cap <= 0:
-            raise EnumerationCapExceeded(cap, 0)
         return [()]
     out: list[tuple[int, ...]] = []
     word = [0] * total
@@ -74,8 +71,6 @@ def _search(
             if r[i] > r[i + 1]:
                 word[depth] = i
                 if depth == last:
-                    if len(out) >= cap:
-                        raise EnumerationCapExceeded(cap, len(out))
                     out.append(tuple(word))
                     continue
                 r[i], r[i + 1] = r[i + 1], r[i]
@@ -93,14 +88,9 @@ def _search(
             r[i], r[i + 1] = r[i + 1], r[i]
 
 
-def reduced_word_list(
-    entries: tuple[int, ...], cap: int
-) -> list[tuple[int, ...]]:
-    """All reduced words of the permutation, in lexicographic order.
-
-    Raises EnumerationCapExceeded once more than ``cap`` words exist.
-    """
-    return _search(entries, cap, False)
+def reduced_word_list(entries: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """All reduced words of the permutation, in lexicographic order."""
+    return _search(entries, False)
 
 
 def _is_vexillary(w: tuple[int, ...]) -> bool:
@@ -164,15 +154,20 @@ def _transitions(w: tuple[int, ...]) -> list[tuple[int, ...]]:
     return children or [(1, *(x + 1 for x in w))]
 
 
-def reduced_word_count(entries: tuple[int, ...]) -> int:
-    """Number of reduced words, without enumerating any.
+def reduced_word_count(
+    entries: tuple[int, ...], limit: float = math.inf
+) -> int:
+    """Number of reduced words, without enumerating any, when it is at
+    most ``limit``; otherwise some number above ``limit``.
 
     The count obeys the transition recurrence of the Stanley symmetric
     function F_w (Lascoux-Schutzenberger, in Little's form): it is the sum
     over the children of w, and at a vexillary leaf F_w is one Schur
     function, whose count is f^lambda (Edelman-Greene).  The tree is walked
     with an explicit stack, so deep trees need no recursion, and memoised
-    within this call only.
+    within this call only.  Each F_w is a sum of its children's with
+    nonnegative coefficients, so no node counts more than the root, and the
+    walk stops at the first node whose count exceeds ``limit``.
     """
     _positions(entries)
     start = tuple(entries)
@@ -181,17 +176,21 @@ def reduced_word_count(entries: tuple[int, ...]) -> int:
     while stack:
         w, children = stack[-1]
         if children is not None:
-            counts[w] = sum(counts[u] for u in children)
-            stack.pop()
+            count = sum(counts[u] for u in children)
         elif w in counts:
             stack.pop()
+            continue
         elif _is_vexillary(w):
-            counts[w] = _hook_count(w)
-            stack.pop()
+            count = _hook_count(w)
         else:
             children = _transitions(w)
             stack[-1] = (w, children)
             stack.extend((u, None) for u in children if u not in counts)
+            continue
+        if count > limit:
+            return count
+        counts[w] = count
+        stack.pop()
     return counts[start]
 
 
@@ -203,4 +202,4 @@ def singleton_word_list(entries: tuple[int, ...]) -> list[tuple[int, ...]]:
     commutation class.  After the first letter the search only ever probes
     the two neighbouring letter values, which keeps the tree tiny.
     """
-    return _search(entries, math.inf, True)
+    return _search(entries, True)

@@ -2,7 +2,8 @@
  * Compiled word-list kernels: ``reduced_word_list`` and
  * ``singleton_word_list``, with the same contracts as their ``_pure`` twins.
  * The reduced-word count has only the ``_pure`` implementation, which
- * enumerates nothing.
+ * enumerates nothing.  Neither list takes a cap: ``classes`` settles its
+ * word cap with that count before it asks for a list.
  *
  * The search state is the inverse permutation as a position array r, with
  * r[v-1] the 0-indexed position of the value v.  The letter i is a descent
@@ -103,24 +104,6 @@ neighbour_descent(const int *r, int n, int prev, int from)
     return 0;
 }
 
-static void
-raise_cap_exceeded(PyObject *cap, Py_ssize_t partial)
-{
-    PyObject *errors = PyImport_ImportModule("redword.errors");
-    if (errors == NULL)
-        return;
-    PyObject *type = PyObject_GetAttrString(errors, "EnumerationCapExceeded");
-    Py_DECREF(errors);
-    if (type == NULL)
-        return;
-    PyObject *exc = PyObject_CallFunction(type, "On", cap, partial);
-    if (exc != NULL) {
-        PyErr_SetObject(type, exc);
-        Py_DECREF(exc);
-    }
-    Py_DECREF(type);
-}
-
 static PyObject *
 word_tuple(const int *word, Py_ssize_t length)
 {
@@ -139,17 +122,10 @@ word_tuple(const int *word, Py_ssize_t length)
 }
 
 /* The reduced words of entries in lexicographic order; with adjacent_only,
-   only those whose adjacent letters differ by 1.  cap is NULL for no cap. */
+   only those whose adjacent letters differ by 1. */
 static PyObject *
-search(PyObject *entries, PyObject *cap, int adjacent_only)
+search(PyObject *entries, int adjacent_only)
 {
-    Py_ssize_t max_words = PY_SSIZE_T_MAX;
-    if (cap != NULL) {
-        /* a cap past the largest list length caps nothing */
-        max_words = PyNumber_AsSsize_t(cap, NULL);
-        if (max_words == -1 && PyErr_Occurred())
-            return NULL;
-    }
     Py_ssize_t n;
     int *r = read_positions(entries, &n);
     if (r == NULL)
@@ -168,10 +144,6 @@ search(PyObject *entries, PyObject *cap, int adjacent_only)
     unsigned long steps = 0;
     for (;;) {
         if (depth == total) {
-            if (PyList_GET_SIZE(out) >= max_words) {
-                raise_cap_exceeded(cap, PyList_GET_SIZE(out));
-                goto fail;
-            }
             PyObject *t = word_tuple(word, total);
             if (t == NULL || PyList_Append(out, t) < 0) {
                 Py_XDECREF(t);
@@ -210,18 +182,14 @@ fail:
 }
 
 PyDoc_STRVAR(reduced_word_list_doc,
-"reduced_word_list($module, entries, cap, /)\n--\n\n"
-"All reduced words of the permutation, in lexicographic order.\n\n"
-"Raises EnumerationCapExceeded once more than ``cap`` words exist.");
+"reduced_word_list($module, entries, /)\n--\n\n"
+"All reduced words of the permutation, in lexicographic order.");
 
 static PyObject *
-reduced_word_list(PyObject *module, PyObject *args)
+reduced_word_list(PyObject *module, PyObject *entries)
 {
     (void)module;
-    PyObject *entries, *cap;
-    if (!PyArg_ParseTuple(args, "OO:reduced_word_list", &entries, &cap))
-        return NULL;
-    return search(entries, cap, 0);
+    return search(entries, 0);
 }
 
 PyDoc_STRVAR(singleton_word_list_doc,
@@ -233,12 +201,11 @@ static PyObject *
 singleton_word_list(PyObject *module, PyObject *entries)
 {
     (void)module;
-    return search(entries, NULL, 1);
+    return search(entries, 1);
 }
 
 static PyMethodDef speedups_methods[] = {
-    {"reduced_word_list", reduced_word_list, METH_VARARGS,
-     reduced_word_list_doc},
+    {"reduced_word_list", reduced_word_list, METH_O, reduced_word_list_doc},
     {"singleton_word_list", singleton_word_list, METH_O,
      singleton_word_list_doc},
     {NULL, NULL, 0, NULL},

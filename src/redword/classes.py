@@ -23,7 +23,8 @@ pass, with no search; the breadth-first closure under single moves
 it against.
 
 Enumeration sizes explode factorially, so every full enumeration honours a
-word cap and fails loudly instead of truncating.
+word cap and fails before enumerating: the exact count, which builds no
+word, is checked against the cap first.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from collections import deque
 from typing import Iterator
 
 from redword import kernels
+from redword.errors import EnumerationCapExceeded
 from redword.perm import Permutation
 from redword.words import Word
 
@@ -67,6 +69,17 @@ class ClassPartition:
         return [c.representative for c in self.classes if c.is_singleton()]
 
 
+def _word_list(p: Permutation, max_words: int) -> list[tuple[int, ...]]:
+    """The reduced words of ``p`` as letter tuples, lexicographically.
+
+    Raises EnumerationCapExceeded, before building any word, when more than
+    ``max_words`` words exist.
+    """
+    if kernels.reduced_word_count(p.entries, max_words) > max_words:
+        raise EnumerationCapExceeded(max_words)
+    return kernels.reduced_word_list(p.entries)
+
+
 def enumerate_reduced_words(
     p: Permutation, max_words: int = DEFAULT_MAX_WORDS
 ) -> Iterator[Word]:
@@ -75,7 +88,7 @@ def enumerate_reduced_words(
     Raises EnumerationCapExceeded when more than ``max_words`` words exist.
     """
     n = p.degree
-    for letters in kernels.reduced_word_list(p.entries, max_words):
+    for letters in _word_list(p, max_words):
         yield Word(letters, n)
 
 
@@ -179,7 +192,7 @@ def class_partition(
     """
     n = p.degree
     pairs = range(n)
-    words = kernels.reduced_word_list(p.entries, max_words)
+    words = _word_list(p, max_words)
     groups: dict[tuple[tuple[int, ...], ...], list[Word]] = {}
     for letters in words:
         projections: list[list[int]] = [[] for _ in pairs]
@@ -200,7 +213,7 @@ def is_connected_under_all_moves(
 ) -> bool:
     """True iff commutation plus braid moves connect all reduced words of
     ``p``.  They always do; this is a self-test oracle for the enumerator."""
-    words = kernels.reduced_word_list(p.entries, max_words)
+    words = _word_list(p, max_words)
     seed = Word(words[0], p.degree)
 
     def both(w: Word) -> list[Word]:

@@ -1,20 +1,19 @@
-"""Errors shared by the enumeration kernels and the sweep drivers."""
+"""Errors raised by the word enumerations and the sweep drivers."""
 
 
 class EnumerationCapExceeded(RuntimeError):
     """Raised when a reduced-word enumeration would produce more words than allowed.
 
     The cap is an explicit guard against runaway enumerations; exceeding it is
-    an error, never a silent truncation.  ``partial_count`` records how many
-    words were produced before the enumeration was abandoned.
+    an error, never a silent truncation.  It is raised before any word is
+    built: the exact word count is checked against the cap first.
     """
 
-    def __init__(self, cap: int, partial_count: int):
+    def __init__(self, cap: int):
         super().__init__(
             f"reduced-word enumeration exceeded the cap of {cap} words"
         )
         self.cap = cap
-        self.partial_count = partial_count
 
 
 class SweepBoundExceeded(RuntimeError):

@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+from redword import kernels
 from redword.classes import (
     braid_neighbors,
     class_partition,
@@ -14,6 +15,7 @@ from redword.classes import (
     enumerate_reduced_words,
     is_connected_under_all_moves,
 )
+from redword.cli import run
 from redword.errors import EnumerationCapExceeded
 from redword.perm import Permutation, all_permutations, identity, longest_element
 from redword.words import Word
@@ -79,9 +81,37 @@ def test_enumeration_cap():
     with pytest.raises(EnumerationCapExceeded) as info:
         list(enumerate_reduced_words(longest_element(4), max_words=3))
     assert info.value.cap == 3
-    assert info.value.partial_count == 3
     with pytest.raises(EnumerationCapExceeded):
         class_partition(longest_element(4), max_words=15)
+    # a cap of exactly the word count is met, one less is exceeded
+    for entries in ((4, 3, 2, 1), (2, 4, 1, 5, 3), (1, 2, 3)):
+        p = Permutation(entries)
+        count = len(brute_force_reduced_words(entries))
+        assert len(list(enumerate_reduced_words(p, count))) == count
+        assert class_partition(p, count).total_words == count
+        assert is_connected_under_all_moves(p, count)
+        with pytest.raises(EnumerationCapExceeded):
+            list(enumerate_reduced_words(p, count - 1))
+        with pytest.raises(EnumerationCapExceeded):
+            class_partition(p, count - 1)
+        with pytest.raises(EnumerationCapExceeded):
+            is_connected_under_all_moves(p, count - 1)
+
+
+def test_cap_is_settled_before_any_word_is_built(monkeypatch, capsys):
+    def no_list(*args):
+        raise AssertionError("a word list was built past the cap")
+
+    monkeypatch.setattr(kernels, "reduced_word_list", no_list)
+    w0 = longest_element(7)
+    with pytest.raises(EnumerationCapExceeded):
+        list(enumerate_reduced_words(w0))
+    with pytest.raises(EnumerationCapExceeded):
+        class_partition(w0)
+    with pytest.raises(EnumerationCapExceeded):
+        is_connected_under_all_moves(w0)
+    assert run(["reduced-words", "7654321"]) == 3
+    assert capsys.readouterr().out == ""
 
 
 def test_commutation_neighbors():

@@ -7,7 +7,9 @@ The compiled backend is built afresh by the ``built_package`` fixture in
 
 import itertools
 import os
+import pathlib
 import random
+import shutil
 import subprocess
 import sys
 from math import comb
@@ -15,11 +17,10 @@ from math import comb
 import pytest
 
 import redword._pure as pure_backend
-from redword.errors import EnumerationCapExceeded
+from redword.cli import run
 from redword.kernels import reduced_word_count
 from redword.perm import Permutation, all_permutations
 
-BIG = 10**9
 # the cycle 2,3,...,1100,1: one reduced word of 1099 letters, deeper than
 # Python's default recursion limit
 LONG_CYCLE = (*range(2, 1101), 1)
@@ -33,16 +34,16 @@ def backend(request):
 
 
 def test_reduced_words_small_cases(backend):
-    assert backend.reduced_word_list((3, 2, 1), BIG) == [(1, 2, 1), (2, 1, 2)]
-    assert backend.reduced_word_list((2, 1, 4, 3), BIG) == [(1, 3), (3, 1)]
-    assert backend.reduced_word_list((1, 2, 3), BIG) == [()]
-    assert backend.reduced_word_list((1,), BIG) == [()]
-    assert len(backend.reduced_word_list((4, 3, 2, 1), BIG)) == 16
+    assert backend.reduced_word_list((3, 2, 1)) == [(1, 2, 1), (2, 1, 2)]
+    assert backend.reduced_word_list((2, 1, 4, 3)) == [(1, 3), (3, 1)]
+    assert backend.reduced_word_list((1, 2, 3)) == [()]
+    assert backend.reduced_word_list((1,)) == [()]
+    assert len(backend.reduced_word_list((4, 3, 2, 1))) == 16
 
 
 def test_reduced_words_sorted_and_distinct(backend):
     for p in all_permutations(4):
-        words = backend.reduced_word_list(p.entries, BIG)
+        words = backend.reduced_word_list(p.entries)
         assert words == sorted(words)
         assert len(words) == len(set(words))
 
@@ -77,7 +78,7 @@ def level_walk_count(entries):
 def test_count_agrees_with_list(backend):
     for n in range(1, 6):
         for p in all_permutations(n):
-            words = backend.reduced_word_list(p.entries, BIG)
+            words = backend.reduced_word_list(p.entries)
             assert reduced_word_count(p.entries) == len(words)
 
 
@@ -88,7 +89,7 @@ def test_count_longest_elements(backend):
     assert reduced_word_count((1, 2, 3, 4, 5)) == 1
     # each backend enumerates exactly as many words as the one count gives
     for entries in ((4, 3, 2, 1), (5, 4, 3, 2, 1), (1, 2, 3, 4, 5)):
-        words = backend.reduced_word_list(entries, BIG)
+        words = backend.reduced_word_list(entries)
         assert len(words) == reduced_word_count(entries)
 
 
@@ -125,13 +126,33 @@ def test_count_edge_cases():
             reduced_word_count(bad)
 
 
-def test_cap_is_enforced(backend):
-    with pytest.raises(EnumerationCapExceeded) as info:
-        backend.reduced_word_list((4, 3, 2, 1), 5)
-    assert info.value.cap == 5
-    assert info.value.partial_count == 5
-    # exactly at the cap is fine
-    assert len(backend.reduced_word_list((4, 3, 2, 1), 16)) == 16
+def test_count_limit(monkeypatch):
+    for n in range(1, 7):
+        for p in all_permutations(n):
+            count = reduced_word_count(p.entries)
+            for limit in (0, count - 1, count, count + 1):
+                got = reduced_word_count(p.entries, limit)
+                if count <= limit:
+                    assert got == count
+                else:
+                    assert limit < got <= count
+    # the exact counts of these take about a minute each, over some 10^5
+    # tree nodes; past the limit the walk stops at its first leaf, about
+    # 60 transitions down
+    transitions = pure_backend._transitions
+    walked = []
+
+    def one_path(w):
+        walked.append(w)
+        assert len(walked) <= 1000, "the count walked on past the limit"
+        return transitions(w)
+
+    monkeypatch.setattr(pure_backend, "_transitions", one_path)
+    rng = random.Random(20)
+    for _ in range(3):
+        walked.clear()
+        entries = tuple(rng.sample(range(1, 21), 20))
+        assert reduced_word_count(entries, 10**7) > 10**7
 
 
 def test_singleton_words_small_cases(backend):
@@ -145,7 +166,7 @@ def test_singleton_words_small_cases(backend):
 def test_singleton_words_match_filtered_enumeration(backend):
     for n in range(1, 6):
         for p in all_permutations(n):
-            full = backend.reduced_word_list(p.entries, BIG)
+            full = backend.reduced_word_list(p.entries)
             filtered = [
                 w
                 for w in full
@@ -156,7 +177,7 @@ def test_singleton_words_match_filtered_enumeration(backend):
 
 def test_long_words_need_no_recursion(backend):
     word = tuple(range(1, 1100))
-    assert backend.reduced_word_list(LONG_CYCLE, BIG) == [word]
+    assert backend.reduced_word_list(LONG_CYCLE) == [word]
     assert backend.singleton_word_list(LONG_CYCLE) == [word]
 
 
@@ -170,53 +191,56 @@ def test_backends_agree(compiled_backend):
             ) == compiled.singleton_word_list(entries)
             if n <= 6:
                 assert pure_backend.reduced_word_list(
-                    entries, BIG
-                ) == compiled.reduced_word_list(entries, BIG)
+                    entries
+                ) == compiled.reduced_word_list(entries)
 
     # degree 17, past the exhaustive checks above
     s1s2s1 = (3, 2, 1, *range(4, 18))
     for backend in (pure_backend, compiled):
-        assert backend.reduced_word_list(s1s2s1, BIG) == [(1, 2, 1), (2, 1, 2)]
+        assert backend.reduced_word_list(s1s2s1) == [(1, 2, 1), (2, 1, 2)]
         assert backend.singleton_word_list(s1s2s1) == [(1, 2, 1), (2, 1, 2)]
     top = (*range(1, 13), 17, 16, 15, 14, 13)
-    assert compiled.reduced_word_list(top, BIG) == pure_backend.reduced_word_list(
-        top, BIG
-    )
+    assert compiled.reduced_word_list(top) == pure_backend.reduced_word_list(top)
     assert compiled.singleton_word_list(top) == pure_backend.singleton_word_list(top)
-
-    # the cap: a list of exactly cap words is returned, one more raises
-    for entries in ((4, 3, 2, 1), (2, 4, 1, 5, 3), (1, 2, 3)):
-        words = pure_backend.reduced_word_list(entries, BIG)
-        cap = len(words)
-        assert compiled.reduced_word_list(entries, cap) == words
-        for backend in (pure_backend, compiled):
-            with pytest.raises(EnumerationCapExceeded) as info:
-                backend.reduced_word_list(entries, cap - 1)
-            assert (info.value.cap, info.value.partial_count) == (cap - 1, cap - 1)
 
     for bad in ((1, 1, 2), (0, 1), (3, 1), (2, 3)):
         for backend in (pure_backend, compiled):
             with pytest.raises(ValueError, match="not a permutation"):
-                backend.reduced_word_list(bad, BIG)
+                backend.reduced_word_list(bad)
             with pytest.raises(ValueError, match="not a permutation"):
                 backend.singleton_word_list(bad)
     assert not hasattr(compiled, "reduced_word_count")
 
 
-def test_env_var_forces_pure_backend():
-    probe = "import redword.kernels as k; print(k.BACKEND)"
-    env = dict(os.environ, REDWORD_NO_SPEEDUPS="1")
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+def run_package(lib, argv):
+    """The backend and the CLI stdout of the ``redword`` package in lib."""
+    probe = (
+        "import sys, redword.cli, redword.kernels as k; print(k.BACKEND);"
+        " redword.cli.run(sys.argv[1:])"
     )
-    assert out.stdout.strip() == "pure"
+    env = dict(os.environ, PYTHONPATH=str(lib))
+    out = subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    backend, _, stdout = out.stdout.partition("\n")
+    return backend, stdout
 
 
-def test_default_backend_is_compiled_when_built(built_package):
-    env = {k: v for k, v in os.environ.items() if k != "REDWORD_NO_SPEEDUPS"}
-    env["PYTHONPATH"] = str(built_package)
-    probe = "import redword.kernels as k; print(k.BACKEND)"
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+def test_backend_is_pure_without_the_extension(tmp_path, capsys):
+    shutil.copytree(
+        pathlib.Path(__file__).resolve().parent.parent / "src" / "redword",
+        tmp_path / "redword",
+        ignore=shutil.ignore_patterns("__pycache__", "*.so", "*.pyd"),
     )
-    assert out.stdout.strip() == "compiled"
+    run(["reduced-words", "4321"])
+    expected = capsys.readouterr().out
+    assert len(expected.split()) == 16
+    assert run_package(tmp_path, ["reduced-words", "4321"]) == ("pure", expected)
+
+
+def test_default_backend_is_compiled_when_built(built_package, capsys):
+    run(["reduced-words", "4321"])
+    expected = capsys.readouterr().out
+    got = run_package(built_package, ["reduced-words", "4321"])
+    assert got == ("compiled", expected)
