@@ -446,6 +446,8 @@ def search_by_class_count(
     """
     if n < 1:
         raise ValueError(f"degree {n} is not positive")
+    if k < 0:
+        raise ValueError(f"class count {k} is negative")
     if n > sweep_bound:
         raise SweepBoundExceeded(n, sweep_bound)
     matches = []

@@ -1,11 +1,12 @@
 """Command-line behavior: output bytes, exit codes, diagnostics."""
 
 import hashlib
+import itertools
 import json
 
 import pytest
 
-from redword.cli import run
+from redword.cli import _render_json, run
 from redword.perm import Permutation
 from redword.words import Word
 
@@ -257,6 +258,11 @@ def test_search_command(capsys):
         assert out == ""
         assert err.startswith("error: ")
 
+    # no permutation has a negative count; 0 is a count (2143 has it)
+    code, out, err = invoke(capsys, "search", "--n", "3", "--class-count", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: class count -1 is negative\n"
+
 
 def test_zigzag_command(capsys):
     code, out, _ = invoke(capsys, "zigzag", "--i", "1", "--j", "3", "--n", "4")
@@ -313,3 +319,66 @@ def test_word_list_output_bytes_are_pinned(capsys, monkeypatch):
         code, out, _ = invoke(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _json_argvs():
+    for n in range(1, 6):
+        for entries in itertools.permutations(range(1, n + 1)):
+            p = "".join(map(str, entries))
+            yield "reduced-words", p
+            yield "reduced-words", p, "--count-only"
+            yield "classes", p
+            yield "singletons", p
+    for n in range(2, 9):
+        yield "longest", str(n)
+    for n in range(1, 7):
+        yield "verify", "--max-n", str(n)
+        for k in range(6):
+            yield "search", "--n", str(n), "--class-count", str(k)
+    for i, j, n in ((1, 3, 4), (1, 2, 3), (2, 4, 6), (1, 4, 5), (3, 1, 4)):
+        yield "zigzag", "--i", str(i), "--j", str(j), "--n", str(n)
+    yield "eval", "--n", "4", "123"
+    yield "eval", "--n", "12", "11"
+    yield "reduced-words", "54321", "--max-words", "767"
+    yield "verify", "--max-n", "0"
+
+
+def test_json_renderer_matches_json_dumps_on_every_command(capsys, monkeypatch):
+    monkeypatch.delenv("REDWORD_MAX_WORDS", raising=False)
+    rendered = []
+
+    def checked(document):
+        text = _render_json(document)
+        assert text == json.dumps(document, indent=2, sort_keys=True)
+        rendered.append(text)
+        return text
+
+    monkeypatch.setattr("redword.cli._render_json", checked)
+    succeeded = failed = 0
+    for argv in _json_argvs():
+        before = len(rendered)
+        code, out, _ = invoke(capsys, *argv, "--format", "json")
+        if code == 0:
+            succeeded += 1
+            assert len(rendered) == before + 1
+            assert out == rendered[-1] + "\n"
+        else:
+            failed += 1
+            assert (len(rendered), out) == (before, "")
+    assert len(rendered) == succeeded == 667
+    assert failed == 3
+
+
+def test_json_renderer_rejects_what_no_command_builds():
+    class Count(int):
+        pass
+
+    for document in (
+        {"x": 1.5},
+        {"x": (1, 2)},
+        {1: "a"},
+        {"x": Count(3)},
+        {"x": [1, Count(3)]},
+    ):
+        with pytest.raises(TypeError):
+            _render_json(document)

@@ -5,10 +5,13 @@ random, and none are saved between runs, so every run checks the same
 inputs.
 """
 
-from hypothesis import given, settings
+import json
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import redword._pure as pure_backend
+from redword.cli import _render_json
 from redword.kernels import reduced_word_count
 from redword.perm import Permutation
 from redword.words import Word, conjugate_by_longest
@@ -63,3 +66,52 @@ def test_word_text_round_trip(letters_and_degree):
     letters, n = letters_and_degree
     w = Word(tuple(letters), n)
     assert Word.from_text(w.to_text(), n) == w
+
+
+@settings(DETERMINISTIC, max_examples=150)
+@given(permutations(7), st.data())
+def test_word_symmetries(p, data):
+    # a reduced word drawn one right descent at a time, from the end
+    letters = []
+    rest = p
+    while descents := sorted(rest.right_descents()):
+        letter = data.draw(st.sampled_from(descents))
+        letters.append(letter)
+        rest = rest.apply_simple(letter)
+    w = Word(tuple(reversed(letters)), p.degree)
+    assert w.evaluate() == p
+    assert w.is_reduced()
+
+    assert w.reverse().evaluate() == p.inverse()
+    assert w.complement().evaluate() == conjugate_by_longest(p)
+    assert w.reverse().is_reduced()
+    assert w.complement().is_reduced()
+    assert w.reverse_complement().is_reduced()
+    assert len(w.symmetries()) in (1, 2, 4)
+
+
+# quotes, backslashes, control characters, non-ASCII and past the BMP
+JSON_TEXT = st.text(
+    st.characters() | st.sampled_from('"\\\x00\x1f\x7f\n\té€\U0001f600'), max_size=12
+)
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([2**64, -(2**64) - 1, 3**100])
+    | JSON_TEXT
+)
+JSON_DOCUMENTS = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=6)
+    | st.dictionaries(JSON_TEXT, children, max_size=6),
+    max_leaves=20,
+)
+
+
+@settings(DETERMINISTIC, max_examples=200)
+@given(JSON_DOCUMENTS)
+@example([1, True, 2])
+@example({"": {}, "a": [], "b": [[]], "c": [0, -1, 2**64]})
+def test_json_renderer_matches_json_dumps(document):
+    assert _render_json(document) == json.dumps(document, indent=2, sort_keys=True)

@@ -220,6 +220,9 @@ def test_search_by_class_count():
     assert identity(4) in [p for p, _ in ones.matches]
     entries = [p.entries for p, _ in zero.matches]
     assert entries == sorted(entries)
+    # no permutation has a negative count
+    with pytest.raises(ValueError, match="class count -1 is negative"):
+        search_by_class_count(3, -1)
 
 
 def test_search_bound():
