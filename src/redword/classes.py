@@ -20,7 +20,7 @@ permutation, are that permutation's commutation classes.
 ``class_partition`` groups the words by that tuple of subsequences in one
 pass, with no search; the breadth-first closure under single moves
 (``commutation_class``) is kept as the independent oracle the tests compare
-it against.
+it against.  Classes hold letter tuples; ``Word`` views are built on request.
 
 Enumeration sizes explode factorially, so every full enumeration honours a
 word cap and fails before enumerating: the exact count, which builds no
@@ -43,18 +43,26 @@ DEFAULT_MAX_WORDS = 10_000_000
 
 @dataclasses.dataclass(frozen=True)
 class CommutationClass:
-    """One commutation class: its members, canonical representative
-    (lexicographically least member) and the permutation they evaluate to."""
+    """One commutation class: its members' letters, sorted, and their
+    permutation; ``members`` and ``representative`` build ``Word``s."""
 
-    members: frozenset[Word]
-    representative: Word
+    words: tuple[tuple[int, ...], ...]
     permutation: Permutation
 
+    @property
+    def members(self) -> frozenset[Word]:
+        n = self.permutation.degree
+        return frozenset(Word(letters, n) for letters in self.words)
+
+    @property
+    def representative(self) -> Word:
+        return Word(self.words[0], self.permutation.degree)
+
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.words)
 
     def is_singleton(self) -> bool:
-        return len(self.members) == 1
+        return len(self.words) == 1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -167,8 +175,8 @@ def commutation_class(w: Word) -> CommutationClass:
     ['13', '31']
     """
     _require_reduced(w)
-    members = _closure(w, _commutation_neighbors)
-    return CommutationClass(members, min(members), w.evaluate())
+    members = sorted(x.letters for x in _closure(w, _commutation_neighbors))
+    return CommutationClass(tuple(members), w.evaluate())
 
 
 def class_partition(
@@ -182,28 +190,26 @@ def class_partition(
     (see the module docstring) two words share a key exactly when they are
     commutation equivalent, so grouping by key gives the classes without
     exploring any move graph.  Each key takes one pass over the word's
-    letters, at any degree.  The words arrive in lexicographic order, so the
-    first word of each group is its least member and the groups, in
-    insertion order, are sorted by representative.
+    letters, at any degree.  The words arrive in lexicographic order, so
+    each group lists its members in order and the groups, in insertion
+    order, are sorted by representative.  No ``Word`` is built.
 
     >>> from redword.perm import Permutation
     >>> [len(c) for c in class_partition(Permutation((2, 1, 4, 3))).classes]
     [2]
     """
-    n = p.degree
-    pairs = range(n)
+    pairs = range(p.degree)
     words = _word_list(p, max_words)
-    groups: dict[tuple[tuple[int, ...], ...], list[Word]] = {}
+    groups: dict[tuple[tuple[int, ...], ...], list[tuple[int, ...]]] = {}
     for letters in words:
         projections: list[list[int]] = [[] for _ in pairs]
         for x in letters:
             projections[x - 1].append(x)
             projections[x].append(x)
         key = tuple(map(tuple, projections))
-        groups.setdefault(key, []).append(Word(letters, n))
+        groups.setdefault(key, []).append(letters)
     classes = tuple(
-        CommutationClass(frozenset(members), members[0], p)
-        for members in groups.values()
+        CommutationClass(tuple(members), p) for members in groups.values()
     )
     return ClassPartition(p, classes, len(words))
 

@@ -15,17 +15,17 @@ error, 3 enumeration cap, sweep bound, recursion limit or memory exceeded.
 from __future__ import annotations
 
 import argparse
-import operator
 import os
 import sys
 import time
 from json.encoder import encode_basestring_ascii
 
+from redword import kernels
 from redword.classes import (
     DEFAULT_MAX_WORDS,
+    _word_list,
     class_partition,
     count_reduced_words,
-    enumerate_reduced_words,
 )
 from redword.errors import EnumerationCapExceeded, SweepBoundExceeded
 from redword.perm import Permutation
@@ -35,11 +35,10 @@ from redword.singleton import (
     long_element_class,
     long_element_singleton,
     search_by_class_count,
-    singleton_words,
     verify_theorem_sweep,
     verify_zigzag_sweep,
 )
-from redword.words import Word
+from redword.words import Word, _letters_text
 
 
 _INT_ONLY = {int}
@@ -128,19 +127,19 @@ def _perm_payload(p: Permutation) -> dict:
     return payload
 
 
-def _word_payload(w: Word) -> dict:
-    payload: dict = {"letters": list(w.letters)}
-    if w.degree <= 10:
-        payload["compact"] = w.to_text()
+def _word_payload(letters: tuple[int, ...], degree: int) -> dict:
+    payload: dict = {"letters": list(letters)}
+    if degree <= 10:
+        payload["compact"] = _letters_text(letters, degree)
     return payload
 
 
-def _word_list(args, inputs: dict, words: list[Word]):
+def _words_result(args, inputs: dict, words: list[tuple[int, ...]], degree: int):
     # build only the requested format: one rendering per word
     if args.format == "json":
-        results = {"count": len(words), "words": [_word_payload(w) for w in words]}
-        return inputs, results, [], 0
-    return inputs, {}, [w.to_text() for w in words], 0
+        payloads = [_word_payload(w, degree) for w in words]
+        return inputs, {"count": len(words), "words": payloads}, [], 0
+    return inputs, {}, [_letters_text(w, degree) for w in words], 0
 
 
 def _resolve_max_words(args) -> int:
@@ -179,7 +178,7 @@ def _cmd_reduced_words(args):
     if args.count_only:
         count = count_reduced_words(p)
         return inputs, {"count": count}, [str(count)], 0
-    return _word_list(args, inputs, list(enumerate_reduced_words(p, cap)))
+    return _words_result(args, inputs, _word_list(p, cap), p.degree)
 
 
 def _cmd_classes(args):
@@ -187,28 +186,25 @@ def _cmd_classes(args):
     cap = _resolve_max_words(args)
     inputs = {"permutation": p.to_text(), "max_words": cap}
     partition = class_partition(p, cap)
-    # members share one degree, so ordering by letters is the Word order
-    by_letters = operator.attrgetter("letters")
-    sorted_classes = [
-        sorted(cls.members, key=by_letters) for cls in partition.classes
-    ]
+    n = p.degree
     if args.format == "json":
         results = {
             "class_count": len(partition.classes),
             "total_words": partition.total_words,
             "classes": [
                 {
-                    "representative": _word_payload(cls.representative),
-                    "size": len(members),
-                    "members": [_word_payload(m) for m in members],
+                    "representative": _word_payload(cls.words[0], n),
+                    "size": len(cls.words),
+                    "members": [_word_payload(m, n) for m in cls.words],
                 }
-                for cls, members in zip(partition.classes, sorted_classes)
+                for cls in partition.classes
             ],
         }
         return inputs, results, [], 0
     lines = [f"{len(partition.classes)} classes, {partition.total_words} words"]
     lines += [
-        " ".join([m.to_text() for m in members]) for members in sorted_classes
+        " ".join([_letters_text(m, n) for m in cls.words])
+        for cls in partition.classes
     ]
     return inputs, {}, lines, 0
 
@@ -216,7 +212,8 @@ def _cmd_classes(args):
 def _cmd_singletons(args):
     p = Permutation.from_text(args.permutation)
     inputs = {"permutation": p.to_text()}
-    return _word_list(args, inputs, singleton_words(p))
+    words = kernels.singleton_word_list(p.entries)
+    return _words_result(args, inputs, words, p.degree)
 
 
 def _cmd_longest(args):
@@ -227,8 +224,8 @@ def _cmd_longest(args):
     if args.format == "json":
         results = {
             "degree": n,
-            "word": _word_payload(word),
-            "symmetries": [_word_payload(w) for w in symmetries],
+            "word": _word_payload(word.letters, n),
+            "symmetries": [_word_payload(w.letters, n) for w in symmetries],
         }
         return inputs, results, [], 0
     return inputs, {}, [w.to_text() for w in (word, *symmetries)], 0
@@ -278,7 +275,7 @@ def _cmd_search(args):
             "matches": [
                 {
                     "permutation": _perm_payload(p),
-                    "words": [_word_payload(w) for w in words],
+                    "words": [_word_payload(w.letters, w.degree) for w in words],
                 }
                 for p, words in result.matches
             ],
@@ -294,7 +291,7 @@ def _cmd_zigzag(args):
     check = check_zigzag_lemma(args.i, args.j, args.n)
     inputs = {"i": args.i, "j": args.j, "n": args.n}
     results = {
-        "word": _word_payload(check.word),
+        "word": _word_payload(check.word.letters, check.word.degree),
         "reduced": check.reduced,
         "evaluated_length": check.evaluated_length,
         "permutation": _perm_payload(check.permutation),

@@ -13,13 +13,16 @@ from __future__ import annotations
 
 from redword import _pure
 
+# imported by name, so a ``_speedups`` that lacks a kernel (an extension
+# loaded into a separate module object, as a zipped egg's bootstrap does)
+# raises ImportError here and the package falls back to ``_pure``
 try:
-    from redword import _speedups as _impl
+    from redword._speedups import reduced_word_list, singleton_word_list
+
+    BACKEND: str = "compiled"
 except ImportError:
-    _impl = _pure  # type: ignore[assignment]
+    from redword._pure import reduced_word_list, singleton_word_list
 
-BACKEND: str = "compiled" if _impl.__name__.endswith("_speedups") else "pure"
+    BACKEND = "pure"
 
-reduced_word_list = _impl.reduced_word_list
 reduced_word_count = _pure.reduced_word_count
-singleton_word_list = _impl.singleton_word_list

@@ -168,13 +168,6 @@ def increasing_run_violations(w: Word) -> list[str]:
     return out
 
 
-def _swap_values(p: Permutation, i: int) -> Permutation:
-    # left action of the simple reflection: exchange the values i, i+1
-    return Permutation(
-        tuple(i + 1 if e == i else i if e == i + 1 else e for e in p.entries)
-    )
-
-
 @dataclasses.dataclass(frozen=True)
 class RepeatedExtremeCase:
     """One matched hypothesis of the repeated-extreme length-drop law."""
@@ -206,7 +199,6 @@ def check_repeated_pinnacle_lemma(w: Word) -> list[RepeatedExtremeCase]:
         return []
     profile = pinnacle_vale(letters)
     p = w.evaluate()
-    base = p.length()
     t = len(letters)
     out: list[RepeatedExtremeCase] = []
     for kind, entries, offset in (
@@ -222,10 +214,10 @@ def check_repeated_pinnacle_lemma(w: Word) -> list[RepeatedExtremeCase]:
                 continue
             subscript = x + offset
             if t in positions and any(q not in (1, t) for q in positions):
-                holds = p.apply_simple(subscript).length() < base
+                holds = subscript in p.right_descents()
                 out.append(RepeatedExtremeCase(x, "right", kind, holds))
             if 1 in positions and any(q not in (1, t) for q in positions):
-                holds = _swap_values(p, subscript).length() < base
+                holds = subscript in p.left_descents()
                 out.append(RepeatedExtremeCase(x, "left", kind, holds))
     return out
 

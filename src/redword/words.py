@@ -25,6 +25,11 @@ from typing import Sequence
 from redword.perm import Permutation, longest_element, parse_one_line
 
 
+def _letters_text(letters: Sequence[int], degree: int) -> str:
+    # letters stay below 10 up to degree 10, so one digit each suffices
+    return ("" if degree <= 10 else ",").join(map(str, letters))
+
+
 @dataclasses.dataclass(frozen=True, order=True)
 class Word:
     """A letter sequence with its ambient degree; ordered lexicographically."""
@@ -108,9 +113,7 @@ class Word:
 
     def to_text(self) -> str:
         """Compact digit string for degree <= 10, comma-separated otherwise."""
-        if self.degree <= 10:
-            return "".join(map(str, self.letters))
-        return ",".join(map(str, self.letters))
+        return _letters_text(self.letters, self.degree)
 
     @classmethod
     def from_text(cls, text: str, degree: int) -> Word:
@@ -242,17 +245,9 @@ def is_vee(s: Sequence[int]) -> tuple[bool, bool]:
     >>> is_vee((1, 2))
     (True, True)
     """
-    t = len(s)
-    if t == 0:
+    if not s:
         raise ValueError("empty string is neither a vee nor not one")
-    low = min(s)
-    i = s.index(low)
-    j = i + 1 if i + 1 < t and s[i + 1] == low else i
-    falling = all(s[k] > s[k + 1] for k in range(i))
-    rising = all(s[k] < s[k + 1] for k in range(j, t - 1))
-    if not (falling and rising):
-        return (False, False)
-    return (True, i == j)
+    return is_wedge([-x for x in s])
 
 
 def conjugate_by_longest(p: Permutation) -> Permutation:

@@ -201,6 +201,8 @@ def test_class_partition_is_a_partition():
         partition = class_partition(p)
         seen = set()
         for cls in partition.classes:
+            assert all(a < b for a, b in zip(cls.words, cls.words[1:]))
+            assert list(cls.words) == sorted(w.letters for w in cls.members)
             assert cls.representative == min(cls.members)
             assert not (seen & cls.members)
             seen |= cls.members

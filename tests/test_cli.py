@@ -170,6 +170,31 @@ def test_classes_output_bytes_are_pinned(capsys, monkeypatch):
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_word_output_commands_build_no_word(capsys, monkeypatch):
+    # classes, reduced-words and singletons render the kernel's letter
+    # tuples directly; a Word is built only where a caller asks for one
+    built = []
+    original = Word.__post_init__
+
+    def counted(self):
+        built.append(self.letters)
+        original(self)
+
+    monkeypatch.setattr(Word, "__post_init__", counted)
+    for argv in (
+        ("classes", "2761534"),
+        ("reduced-words", "2761534"),
+        ("singletons", "7,2,6,5,4,1,3"),
+    ):
+        for fmt in ("text", "json"):
+            code, out, _ = invoke(capsys, *argv, "--format", fmt)
+            assert code == 0 and out
+    assert built == []
+    # the count sees constructions: longest builds its words
+    assert invoke(capsys, "longest", "4")[0] == 0
+    assert built
+
+
 def test_singletons_command(capsys):
     code, out, _ = invoke(capsys, "singletons", "7,2,6,5,4,1,3")
     assert code == 0

@@ -5,6 +5,7 @@ The compiled backend is built afresh by the ``built_package`` fixture in
 ``conftest.py``; its tests skip only when no C compiler is available.
 """
 
+import importlib
 import itertools
 import os
 import pathlib
@@ -12,11 +13,14 @@ import random
 import shutil
 import subprocess
 import sys
+import types
 from math import comb
 
 import pytest
 
+import redword
 import redword._pure as pure_backend
+import redword.kernels as kernels
 from redword.cli import run
 from redword.kernels import reduced_word_count
 from redword.perm import Permutation, all_permutations
@@ -244,3 +248,19 @@ def test_default_backend_is_compiled_when_built(built_package, capsys):
     expected = capsys.readouterr().out
     got = run_package(built_package, ["reduced-words", "4321"])
     assert got == ("compiled", expected)
+
+
+def test_speedups_without_the_kernels_falls_back_to_pure(monkeypatch):
+    # a zipped egg's bootstrap can leave a redword._speedups module object
+    # that lacks the kernels; the package must then select _pure, not fail
+    stub = types.ModuleType("redword._speedups")
+    try:
+        with monkeypatch.context() as patch:
+            patch.setitem(sys.modules, "redword._speedups", stub)
+            patch.setattr(redword, "_speedups", stub, raising=False)
+            importlib.reload(kernels)
+            assert kernels.BACKEND == "pure"
+            assert kernels.reduced_word_list is pure_backend.reduced_word_list
+            assert kernels.singleton_word_list is pure_backend.singleton_word_list
+    finally:
+        importlib.reload(kernels)

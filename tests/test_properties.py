@@ -14,7 +14,7 @@ import redword._pure as pure_backend
 from redword.cli import _render_json
 from redword.kernels import reduced_word_count
 from redword.perm import Permutation
-from redword.words import Word, conjugate_by_longest
+from redword.words import Word, _letters_text, conjugate_by_longest
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
 
@@ -66,6 +66,31 @@ def test_word_text_round_trip(letters_and_degree):
     letters, n = letters_and_degree
     w = Word(tuple(letters), n)
     assert Word.from_text(w.to_text(), n) == w
+
+
+@settings(DETERMINISTIC, max_examples=200)
+@given(
+    st.integers(2, 12).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(1, n - 1), max_size=12), st.just(n)
+        )
+    )
+)
+@example(([9], 10))
+@example(([10], 11))
+@example(([11], 12))
+@example(([1, 11], 12))
+def test_letters_text_is_word_text(letters_and_degree):
+    # the CLI renders letter tuples with no Word; the bytes must not change
+    letters, n = letters_and_degree
+    letters = tuple(letters)
+    text = _letters_text(letters, n)
+    assert text == Word(letters, n).to_text()
+    if n <= 10:
+        assert tuple(map(int, text)) == letters
+    else:
+        assert tuple(map(int, filter(None, text.split(",")))) == letters
+    assert Word.from_text(text, n).letters == letters
 
 
 @settings(DETERMINISTIC, max_examples=150)
