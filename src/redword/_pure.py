@@ -1,12 +1,14 @@
 """
-Pure-Python kernels: the reduced-word lists and the reduced-word count.
+Pure-Python kernels: the reduced-word lists, the commutation classes and
+the reduced-word count.
 
-These are the hot loops of the package.  The two word lists have a compiled
-twin, written in C, in ``_speedups``; ``kernels`` picks whichever is
-available.  The count is implemented here only and serves both backends.
-Every kernel takes a plain entry tuple, raises ValueError unless it is a
-permutation of 1..n, and returns plain tuples or ints, so the kernels stay
-free of the dataclass layer.  None recurses, so none has a depth limit.
+These are the hot loops of the package.  The two word lists and the
+commutation classes have a compiled twin, written in C, in ``_speedups``;
+``kernels`` picks whichever is available.  The count is implemented here
+only and serves both backends.  Every kernel takes a plain entry tuple,
+raises ValueError unless it is a permutation of 1..n, and returns plain
+lists, tuples or ints, so the kernels stay free of the dataclass layer.
+None recurses, so none has a depth limit.
 
 The search state is the inverse permutation stored as a 0-indexed position
 array ``r`` with ``r[v-1]`` = position of the value v.  The letter i can
@@ -17,9 +19,11 @@ the inversion count by one.
 The word lists are depth-first searches with an explicit stack of letter
 iterators, one per depth.  Trying letters in ascending order makes the
 output lexicographic.  Neither takes a cap: ``classes`` settles its word
-cap with the count before it asks for a list.  The count enumerates no
-words: it walks the transition tree of the permutation down to vexillary
-leaves, each counted by the hook-length formula.
+cap with the count before it asks for a list.  The commutation classes
+group the full word list by the projection lemma; the compiled twin builds
+the same classes from their lexicographic normal forms instead.  The count
+enumerates no words: it walks the transition tree of the permutation down
+to vexillary leaves, each counted by the hook-length formula.
 """
 
 from __future__ import annotations
@@ -203,3 +207,31 @@ def singleton_word_list(entries: tuple[int, ...]) -> list[tuple[int, ...]]:
     the two neighbouring letter values, which keeps the tree tiny.
     """
     return _search(entries, True)
+
+
+def commutation_classes(
+    entries: tuple[int, ...]
+) -> list[list[tuple[int, ...]]]:
+    """The commutation classes of the reduced words, each a list of its
+    members in lexicographic order, the classes sorted by their least words.
+
+    Each word is keyed by its heap key: for a = 0 .. n-1, the subsequence of
+    its letters lying in {a, a+1} (0 and n are not letters, so the two ends
+    hold the occurrences of 1 and of n-1 alone).  By the projection lemma
+    for trace monoids (Cori-Perrin 1985; Duboc 1986) two words share a key
+    exactly when they are commutation equivalent, so grouping by key gives
+    the classes without exploring any move graph.  Each key takes one pass
+    over the word's letters, at any degree.  The words arrive in
+    lexicographic order, so each group lists its members in order and the
+    groups, in insertion order, are sorted by representative.
+    """
+    pairs = range(len(entries))
+    groups: dict[tuple[tuple[int, ...], ...], list[tuple[int, ...]]] = {}
+    for letters in reduced_word_list(entries):
+        projections: list[list[int]] = [[] for _ in pairs]
+        for x in letters:
+            projections[x - 1].append(x)
+            projections[x].append(x)
+        key = tuple(map(tuple, projections))
+        groups.setdefault(key, []).append(letters)
+    return list(groups.values())

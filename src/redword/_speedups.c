@@ -1,18 +1,21 @@
 /*
- * Compiled word-list kernels: ``reduced_word_list`` and
- * ``singleton_word_list``, with the same contracts as their ``_pure`` twins.
- * The reduced-word count has only the ``_pure`` implementation, which
- * enumerates nothing.  Neither list takes a cap: ``classes`` settles its
- * word cap with that count before it asks for a list.
+ * Compiled kernels: ``reduced_word_list``, ``singleton_word_list`` and
+ * ``commutation_classes``, with the same contracts as their ``_pure``
+ * twins.  The pure classes group the full word list by the projection
+ * lemma; these are built from lexicographic normal forms and build no word
+ * that is not returned.  The reduced-word count has only the ``_pure``
+ * implementation, which enumerates nothing.  No kernel takes a cap:
+ * ``classes`` settles its word cap with that count before it asks for
+ * words.
  *
  * The search state is the inverse permutation as a position array r, with
  * r[v-1] the 0-indexed position of the value v.  The letter i is a descent
  * exactly when r[i-1] > r[i]; applying it swaps the two slots and drops the
  * inversion count by one.
  *
- * Both kernels are depth-first searches with an explicit stack: the word
+ * Every kernel is a depth-first search with an explicit stack: the word
  * itself, since the letter placed at a depth tells where to resume the scan
- * there when the search comes back.
+ * there when the search comes back.  None recurses.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -181,6 +184,157 @@ fail:
     return NULL;
 }
 
+/* Appends to cls the members of the commutation class of rep, its least
+   word, in lexicographic order.  A member is an order of the occurrences
+   in rep in which no occurrence of a passes one of a - 1, a or a + 1.  The
+   next occurrence of a, in slot s = start[a] + placed[a], may be placed
+   once placed[a - 1] and placed[a + 1] reach below[s] and above[s], the
+   numbers of occurrences of a - 1 and a + 1 before it in rep.  work holds
+   3 * (n + 1) + 3 * (length + 1) ints.  Returns -1 with an exception set
+   on failure. */
+static int
+class_members(const int *rep, Py_ssize_t length, int n, int *work,
+              unsigned long *steps, PyObject *cls)
+{
+    int *count = work;
+    int *start = count + n + 1;
+    int *placed = start + n + 1;
+    int *below = placed + n + 1;
+    int *above = below + length + 1;
+    int *word = above + length + 1;
+    for (int a = 0; a <= n; a++)
+        count[a] = placed[a] = 0;
+    for (Py_ssize_t p = 0; p < length; p++)
+        count[rep[p]]++;
+    for (int a = 0, slot = 0; a <= n; a++) {
+        start[a] = slot;
+        slot += count[a];
+    }
+    for (Py_ssize_t p = 0; p < length; p++) {
+        int a = rep[p];
+        int s = start[a] + placed[a]++;
+        below[s] = placed[a - 1];
+        above[s] = placed[a + 1];
+    }
+    for (int a = 0; a <= n; a++)
+        placed[a] = 0;
+
+    Py_ssize_t depth = 0;
+    int from = 1;
+    for (;;) {
+        if (depth == length) {
+            PyObject *t = word_tuple(word, length);
+            if (t == NULL || PyList_Append(cls, t) < 0) {
+                Py_XDECREF(t);
+                return -1;
+            }
+            Py_DECREF(t);
+        }
+        else {
+            int a = from;
+            for (; a < n; a++) {
+                int s = start[a] + placed[a];
+                if (placed[a] < count[a] && placed[a - 1] >= below[s]
+                    && placed[a + 1] >= above[s])
+                    break;
+            }
+            if (a < n) {
+                placed[a]++;
+                word[depth++] = a;
+                from = 1;
+                continue;
+            }
+        }
+        if ((++*steps & 0xFFFFF) == 0 && PyErr_CheckSignals() < 0)
+            return -1;
+        if (depth == 0)
+            return 0;
+        int a = word[--depth];
+        placed[a]--;
+        from = a + 1;
+    }
+}
+
+PyDoc_STRVAR(commutation_classes_doc,
+"commutation_classes($module, entries, /)\n--\n\n"
+"The commutation classes of the reduced words, each a list of its members\n"
+"in lexicographic order, the classes sorted by their least words.");
+
+/* The classes come from their least words, the lexicographic normal forms
+   (Anisimov-Knuth 1979): no letter a follows a greater letter b with a
+   commuting with b and with every letter between them.  Letters commute
+   when they differ by 2 or more.  If a breaks the rule after b, every
+   letter from b to the one before a is >= a + 2 or <= a - 2, and the
+   first one <= a - 2 falls 4 or more below the letter before it, which
+   breaks the rule sooner.  So where the rule first breaks, a falls 2 or
+   more below the letter just before it: a reduced word is a least word
+   exactly when no letter falls 2 or more below the one before it, and the
+   search scans each depth from one below the letter before.  Each leaf is
+   the least word of a new class, and the leaves come in lexicographic
+   order. */
+static PyObject *
+commutation_classes(PyObject *module, PyObject *entries)
+{
+    (void)module;
+    Py_ssize_t n;
+    int *r = read_positions(entries, &n);
+    if (r == NULL)
+        return NULL;
+    Py_ssize_t total = inversions(r, n);
+    int *ints = PyMem_Malloc((3 * (n + 1) + 4 * (total + 1)) * sizeof(int));
+    PyObject *out = PyList_New(0);
+    if (ints == NULL || out == NULL) {
+        if (ints == NULL)
+            PyErr_NoMemory();
+        goto fail;
+    }
+    int *rep = ints;
+
+    Py_ssize_t depth = 0;
+    int from = 1;
+    unsigned long steps = 0;
+    for (;;) {
+        if (depth == total) {
+            PyObject *cls = PyList_New(0);
+            if (cls == NULL || PyList_Append(out, cls) < 0) {
+                Py_XDECREF(cls);
+                goto fail;
+            }
+            Py_DECREF(cls);
+            if (class_members(rep, total, (int)n, rep + total + 1, &steps,
+                              cls) < 0)
+                goto fail;
+        }
+        else {
+            int low = depth > 0 && rep[depth - 1] - 1 > from
+                ? rep[depth - 1] - 1 : from;
+            int c = first_descent(r, (int)n, low);
+            if (c) {
+                swap_slots(r, c);
+                rep[depth++] = c;
+                from = 1;
+                continue;
+            }
+        }
+        if ((++steps & 0xFFFFF) == 0 && PyErr_CheckSignals() < 0)
+            goto fail;
+        if (depth == 0)
+            break;
+        int c = rep[--depth];
+        swap_slots(r, c);
+        from = c + 1;
+    }
+    PyMem_Free(ints);
+    PyMem_Free(r);
+    return out;
+
+fail:
+    Py_XDECREF(out);
+    PyMem_Free(ints);
+    PyMem_Free(r);
+    return NULL;
+}
+
 PyDoc_STRVAR(reduced_word_list_doc,
 "reduced_word_list($module, entries, /)\n--\n\n"
 "All reduced words of the permutation, in lexicographic order.");
@@ -208,13 +362,15 @@ static PyMethodDef speedups_methods[] = {
     {"reduced_word_list", reduced_word_list, METH_O, reduced_word_list_doc},
     {"singleton_word_list", singleton_word_list, METH_O,
      singleton_word_list_doc},
+    {"commutation_classes", commutation_classes, METH_O,
+     commutation_classes_doc},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef speedups_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "redword._speedups",
-    .m_doc = "Compiled word-list kernels, with the contracts of redword._pure.",
+    .m_doc = "Compiled kernels, with the contracts of redword._pure.",
     .m_size = 0,
     .m_methods = speedups_methods,
 };

@@ -10,17 +10,18 @@ kinds, all reduced words of a permutation are connected).
 
 A commutation class is a heap (a Cartier-Foata trace): letters a and b
 commute exactly when |a - b| >= 2, so the only pairs that never commute are
-{a, a+1} and {a, a}.  By the projection lemma for trace monoids
-(Cori-Perrin 1985; Duboc 1986), two words are equivalent exactly when their
-subsequences of letters in {a, a+1} agree for every a in 1..n-1; those
-subsequences also fix how often each letter occurs, which settles the pairs
-{a, a}.  Commutation moves keep a word reduced and its permutation fixed, so
-the classes of the trace monoid, cut down to the reduced words of one
-permutation, are that permutation's commutation classes.
-``class_partition`` groups the words by that tuple of subsequences in one
-pass, with no search; the breadth-first closure under single moves
-(``commutation_class``) is kept as the independent oracle the tests compare
-it against.  Classes hold letter tuples; ``Word`` views are built on request.
+{a, a+1} and {a, a}.  Commutation moves keep a word reduced and its
+permutation fixed, so the classes of the trace monoid, cut down to the
+reduced words of one permutation, are that permutation's commutation
+classes.  ``class_partition`` takes them from the kernel
+``commutation_classes``, which has two twins (see ``kernels``): the compiled
+one lists the least word of each class, its lexicographic normal form
+(Anisimov-Knuth 1979), and then the orderings of that word's heap, and
+builds no other word; the pure one groups the full word list by the
+projection lemma (Cori-Perrin 1985; Duboc 1986).  The breadth-first closure
+under single moves (``commutation_class``) is kept as the independent
+oracle the tests compare both against.  Classes hold letter tuples; ``Word``
+views are built on request.
 
 Enumeration sizes explode factorially, so every full enumeration honours a
 word cap and fails before enumerating: the exact count, which builds no
@@ -77,14 +78,24 @@ class ClassPartition:
         return [c.representative for c in self.classes if c.is_singleton()]
 
 
+def _checked_count(p: Permutation, max_words: int) -> int:
+    """The number of reduced words of ``p``, which builds no word.
+
+    Raises EnumerationCapExceeded when it is more than ``max_words``.
+    """
+    count = kernels.reduced_word_count(p.entries, max_words)
+    if count > max_words:
+        raise EnumerationCapExceeded(max_words)
+    return count
+
+
 def _word_list(p: Permutation, max_words: int) -> list[tuple[int, ...]]:
     """The reduced words of ``p`` as letter tuples, lexicographically.
 
     Raises EnumerationCapExceeded, before building any word, when more than
     ``max_words`` words exist.
     """
-    if kernels.reduced_word_count(p.entries, max_words) > max_words:
-        raise EnumerationCapExceeded(max_words)
+    _checked_count(p, max_words)
     return kernels.reduced_word_list(p.entries)
 
 
@@ -184,34 +195,23 @@ def class_partition(
 ) -> ClassPartition:
     """Partition all reduced words of ``p`` into commutation classes.
 
-    Each word is keyed by its heap key: for a = 0 .. n-1, the subsequence of
-    its letters lying in {a, a+1} (0 and n are not letters, so the two ends
-    hold the occurrences of 1 and of n-1 alone).  By the projection lemma
-    (see the module docstring) two words share a key exactly when they are
-    commutation equivalent, so grouping by key gives the classes without
-    exploring any move graph.  Each key takes one pass over the word's
-    letters, at any degree.  The words arrive in lexicographic order, so
-    each group lists its members in order and the groups, in insertion
-    order, are sorted by representative.  No ``Word`` is built.
+    The kernel builds the classes (see ``kernels``): each holds its members
+    lexicographically, and the classes are sorted by representative.  No
+    ``Word`` is built.
+
+    Raises EnumerationCapExceeded, before building any word, when more than
+    ``max_words`` words exist.
 
     >>> from redword.perm import Permutation
     >>> [len(c) for c in class_partition(Permutation((2, 1, 4, 3))).classes]
     [2]
     """
-    pairs = range(p.degree)
-    words = _word_list(p, max_words)
-    groups: dict[tuple[tuple[int, ...], ...], list[tuple[int, ...]]] = {}
-    for letters in words:
-        projections: list[list[int]] = [[] for _ in pairs]
-        for x in letters:
-            projections[x - 1].append(x)
-            projections[x].append(x)
-        key = tuple(map(tuple, projections))
-        groups.setdefault(key, []).append(letters)
+    total = _checked_count(p, max_words)
     classes = tuple(
-        CommutationClass(tuple(members), p) for members in groups.values()
+        CommutationClass(tuple(members), p)
+        for members in kernels.commutation_classes(p.entries)
     )
-    return ClassPartition(p, classes, len(words))
+    return ClassPartition(p, classes, total)
 
 
 def is_connected_under_all_moves(

@@ -1,10 +1,12 @@
 """
 Backend selection for the enumeration kernels.
 
-The word lists have two implementations with the same contracts: the
-compiled ``_speedups`` module, built by ``setup.py`` from the hand-written C
-file ``_speedups.c``, is used whenever its extension built, and the
-pure-Python ``_pure`` module otherwise.  The count has one implementation,
+The two word lists and the commutation classes have two implementations
+with the same contracts: the compiled ``_speedups`` module, built by
+``setup.py`` from the hand-written C file ``_speedups.c``, is used whenever
+its extension built, and the pure-Python ``_pure`` module otherwise.  The
+compiled classes come from lexicographic normal forms; the pure twin groups
+the word list by the projection lemma.  The count has one implementation,
 ``_pure.reduced_word_count``, which enumerates nothing, so it serves both
 backends.
 """
@@ -17,11 +19,19 @@ from redword import _pure
 # loaded into a separate module object, as a zipped egg's bootstrap does)
 # raises ImportError here and the package falls back to ``_pure``
 try:
-    from redword._speedups import reduced_word_list, singleton_word_list
+    from redword._speedups import (
+        commutation_classes,
+        reduced_word_list,
+        singleton_word_list,
+    )
 
     BACKEND: str = "compiled"
 except ImportError:
-    from redword._pure import reduced_word_list, singleton_word_list
+    from redword._pure import (
+        commutation_classes,
+        reduced_word_list,
+        singleton_word_list,
+    )
 
     BACKEND = "pure"
 

@@ -226,6 +226,25 @@ def test_classes_are_components_of_the_move_graph():
             assert commutation_class(cls.representative).members == cls.members
 
 
+def test_compiled_classes_are_components_of_the_move_graph(compiled_backend):
+    # the package under test imports from src/, which holds no built
+    # extension, so class_partition runs the pure twin; the compiled
+    # classes are checked against the breadth-first closure here
+    for p in small_permutations():
+        classes = compiled_backend.commutation_classes(p.entries)
+        for cls in classes:
+            assert cls == list(commutation_class(Word(cls[0], p.degree)).words)
+        assert sum(map(len, classes)) == count_reduced_words(p)
+        reps = [cls[0] for cls in classes]
+        assert reps == sorted(reps)
+
+
+def test_compiled_classes_of_the_longest_element_of_degree_6(compiled_backend):
+    classes = compiled_backend.commutation_classes((6, 5, 4, 3, 2, 1))
+    assert len(classes) == 908  # A006245
+    assert sum(map(len, classes)) == 292864 == staircase_tableaux_count(6)
+
+
 def test_longest_element_class_counts_match_a006245():
     # OEIS A006245: commutation classes of reduced words of the longest
     # element, i.e. rhombic tilings of a 2n-gon

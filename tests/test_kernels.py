@@ -1,5 +1,6 @@
-"""Both enumeration backends must agree everywhere they can run, and the
-one reduced-word counter must agree with independent oracles.
+"""Both enumeration backends must agree everywhere they can run, on the
+word lists and on the commutation classes, and the one reduced-word counter
+must agree with independent oracles.
 
 The compiled backend is built afresh by the ``built_package`` fixture in
 ``conftest.py``; its tests skip only when no C compiler is available.
@@ -185,6 +186,23 @@ def test_long_words_need_no_recursion(backend):
     assert backend.singleton_word_list(LONG_CYCLE) == [word]
 
 
+def test_commutation_classes_small_cases(backend):
+    assert backend.commutation_classes((2, 1, 4, 3)) == [[(1, 3), (3, 1)]]
+    assert backend.commutation_classes((1, 2, 3)) == [[()]]
+    assert backend.commutation_classes(()) == [[()]]
+    assert backend.commutation_classes((3, 2, 1)) == [[(1, 2, 1)], [(2, 1, 2)]]
+    # one word of 1099 letters: no recursion, no quadratic blow-up
+    assert backend.commutation_classes(LONG_CYCLE) == [[tuple(range(1, 1100))]]
+    # letters far above 9 and above 255 group like small ones
+    entries = list(range(1, 301))
+    entries[0:2] = [2, 1]
+    entries[298:300] = [300, 299]
+    assert backend.commutation_classes(tuple(entries)) == [[(1, 299), (299, 1)]]
+    for bad in ((1, 1, 2), (0, 1), (3, 1), (2, 3)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            backend.commutation_classes(bad)
+
+
 def test_backends_agree(compiled_backend):
     compiled = compiled_backend
     for n in range(1, 8):
@@ -197,6 +215,15 @@ def test_backends_agree(compiled_backend):
                 assert pure_backend.reduced_word_list(
                     entries
                 ) == compiled.reduced_word_list(entries)
+            if n <= 5:
+                assert pure_backend.commutation_classes(
+                    entries
+                ) == compiled.commutation_classes(entries)
+    # the largest partition of S_7 with at most 8000 words: 7887 in 26
+    top7 = (2, 7, 6, 1, 5, 3, 4)
+    assert compiled.commutation_classes(
+        top7
+    ) == pure_backend.commutation_classes(top7)
 
     # degree 17, past the exhaustive checks above
     s1s2s1 = (3, 2, 1, *range(4, 18))
@@ -262,5 +289,6 @@ def test_speedups_without_the_kernels_falls_back_to_pure(monkeypatch):
             assert kernels.BACKEND == "pure"
             assert kernels.reduced_word_list is pure_backend.reduced_word_list
             assert kernels.singleton_word_list is pure_backend.singleton_word_list
+            assert kernels.commutation_classes is pure_backend.commutation_classes
     finally:
         importlib.reload(kernels)

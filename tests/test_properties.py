@@ -7,7 +7,7 @@ inputs.
 
 import json
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import redword._pure as pure_backend
@@ -46,6 +46,20 @@ def test_backends_agree_on_generated_permutations(compiled_backend, p):
         assert compiled_backend.reduced_word_list(
             entries
         ) == pure_backend.reduced_word_list(entries)
+
+
+@settings(DETERMINISTIC, max_examples=100)
+@given(permutations(9))
+@example(Permutation((2, 1, 4, 3, 6, 5, 8, 7, 9)))
+@example(Permutation((3, 2, 1, 6, 5, 4, 7, 9, 8)))
+@example(Permutation((5, 4, 3, 2, 1)))
+@example(Permutation((1,)))
+def test_backends_agree_on_commutation_classes(compiled_backend, p):
+    entries = p.entries
+    assume(reduced_word_count(entries, 2000) <= 2000)
+    assert compiled_backend.commutation_classes(
+        entries
+    ) == pure_backend.commutation_classes(entries)
 
 
 @settings(DETERMINISTIC, max_examples=200)
