@@ -13,9 +13,13 @@
  * exactly when r[i-1] > r[i]; applying it swaps the two slots and drops the
  * inversion count by one.
  *
- * Every kernel is a depth-first search with an explicit stack: the word
- * itself, since the letter placed at a depth tells where to resume the scan
- * there when the search comes back.  None recurses.
+ * The three kernels are one depth-first search, ``search``, under three
+ * rules for the letters it may place: any descent, only a neighbour of the
+ * letter before, or only what keeps the word a lexicographic normal form.
+ * Its stack is the word itself, since the letter placed at a depth tells
+ * where to resume the scan there when the search comes back.  The classes
+ * expand each normal form the same way in ``class_members``.  Neither
+ * recurses.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -124,66 +128,6 @@ word_tuple(const int *word, Py_ssize_t length)
     return t;
 }
 
-/* The reduced words of entries in lexicographic order; with adjacent_only,
-   only those whose adjacent letters differ by 1. */
-static PyObject *
-search(PyObject *entries, int adjacent_only)
-{
-    Py_ssize_t n;
-    int *r = read_positions(entries, &n);
-    if (r == NULL)
-        return NULL;
-    Py_ssize_t total = inversions(r, n);
-    int *word = PyMem_Malloc((total > 0 ? total : 1) * sizeof(int));
-    PyObject *out = PyList_New(0);
-    if (word == NULL || out == NULL) {
-        if (word == NULL)
-            PyErr_NoMemory();
-        goto fail;
-    }
-
-    Py_ssize_t depth = 0;
-    int from = 1;
-    unsigned long steps = 0;
-    for (;;) {
-        if (depth == total) {
-            PyObject *t = word_tuple(word, total);
-            if (t == NULL || PyList_Append(out, t) < 0) {
-                Py_XDECREF(t);
-                goto fail;
-            }
-            Py_DECREF(t);
-        }
-        else {
-            int c = adjacent_only && depth > 0
-                ? neighbour_descent(r, (int)n, word[depth - 1], from)
-                : first_descent(r, (int)n, from);
-            if (c) {
-                swap_slots(r, c);
-                word[depth++] = c;
-                from = 1;
-                continue;
-            }
-        }
-        if ((++steps & 0xFFFFF) == 0 && PyErr_CheckSignals() < 0)
-            goto fail;
-        if (depth == 0)
-            break;
-        int c = word[--depth];
-        swap_slots(r, c);
-        from = c + 1;
-    }
-    PyMem_Free(word);
-    PyMem_Free(r);
-    return out;
-
-fail:
-    Py_XDECREF(out);
-    PyMem_Free(word);
-    PyMem_Free(r);
-    return NULL;
-}
-
 /* Appends to cls the members of the commutation class of rep, its least
    word, in lexicographic order.  A member is an order of the occurrences
    in rep in which no occurrence of a passes one of a - 1, a or a + 1.  The
@@ -191,8 +135,9 @@ fail:
    once placed[a - 1] and placed[a + 1] reach below[s] and above[s], the
    numbers of occurrences of a - 1 and a + 1 before it in rep.  work holds
    3 * (n + 1) + 3 * (length + 1) ints.  Returns -1 with an exception set
-   on failure. */
-static int
+   on failure.  Inlined, it crowds the registers of search's loop, which
+   slows singleton_word_list of the longest element of degree 16 by 11%. */
+Py_NO_INLINE static int
 class_members(const int *rep, Py_ssize_t length, int n, int *work,
               unsigned long *steps, PyObject *cls)
 {
@@ -255,63 +200,74 @@ class_members(const int *rep, Py_ssize_t length, int n, int *work,
     }
 }
 
-PyDoc_STRVAR(commutation_classes_doc,
-"commutation_classes($module, entries, /)\n--\n\n"
-"The commutation classes of the reduced words, each a list of its members\n"
-"in lexicographic order, the classes sorted by their least words.");
+/* The letters search tries after the prefix word[0..depth): ANY takes
+   every descent, NEIGHBOUR only the prev - 1 and prev + 1 next to the
+   letter prev before it, and NORMAL_FORM only those >= prev - 1.
 
-/* The classes come from their least words, the lexicographic normal forms
-   (Anisimov-Knuth 1979): no letter a follows a greater letter b with a
-   commuting with b and with every letter between them.  Letters commute
-   when they differ by 2 or more.  If a breaks the rule after b, every
-   letter from b to the one before a is >= a + 2 or <= a - 2, and the
-   first one <= a - 2 falls 4 or more below the letter before it, which
-   breaks the rule sooner.  So where the rule first breaks, a falls 2 or
-   more below the letter just before it: a reduced word is a least word
-   exactly when no letter falls 2 or more below the one before it, and the
-   search scans each depth from one below the letter before.  Each leaf is
-   the least word of a new class, and the leaves come in lexicographic
-   order. */
+   NORMAL_FORM gives the least word of each commutation class, its
+   lexicographic normal form (Anisimov-Knuth 1979): no letter a follows a
+   greater letter b with a commuting with b and with every letter between
+   them.  Letters commute when they differ by 2 or more.  If a breaks the
+   rule after b, every letter from b to the one before a is >= a + 2 or
+   <= a - 2, and the first one <= a - 2 falls 4 or more below the letter
+   before it, which breaks the rule sooner.  So where the rule first
+   breaks, a falls 2 or more below the letter just before it: a reduced
+   word is a least word exactly when no letter falls 2 or more below the
+   one before it. */
+enum rule { ANY, NEIGHBOUR, NORMAL_FORM };
+
+/* The reduced words of entries that the rule allows, in lexicographic
+   order.  Under NORMAL_FORM each leaf is the least word of a new class, the
+   result holds each class as the list of its members instead, and the
+   work area of class_members follows the word. */
 static PyObject *
-commutation_classes(PyObject *module, PyObject *entries)
+search(PyObject *entries, enum rule rule)
 {
-    (void)module;
     Py_ssize_t n;
     int *r = read_positions(entries, &n);
     if (r == NULL)
         return NULL;
     Py_ssize_t total = inversions(r, n);
-    int *ints = PyMem_Malloc((3 * (n + 1) + 4 * (total + 1)) * sizeof(int));
+    Py_ssize_t size = rule == NORMAL_FORM
+        ? 3 * (n + 1) + 4 * (total + 1) : total + 1;
+    int *word = PyMem_Malloc(size * sizeof(int));
     PyObject *out = PyList_New(0);
-    if (ints == NULL || out == NULL) {
-        if (ints == NULL)
+    if (word == NULL || out == NULL) {
+        if (word == NULL)
             PyErr_NoMemory();
         goto fail;
     }
-    int *rep = ints;
 
     Py_ssize_t depth = 0;
     int from = 1;
     unsigned long steps = 0;
     for (;;) {
         if (depth == total) {
-            PyObject *cls = PyList_New(0);
-            if (cls == NULL || PyList_Append(out, cls) < 0) {
-                Py_XDECREF(cls);
+            PyObject *leaf = rule == NORMAL_FORM
+                ? PyList_New(0) : word_tuple(word, total);
+            if (leaf == NULL || PyList_Append(out, leaf) < 0) {
+                Py_XDECREF(leaf);
                 goto fail;
             }
-            Py_DECREF(cls);
-            if (class_members(rep, total, (int)n, rep + total + 1, &steps,
-                              cls) < 0)
+            Py_DECREF(leaf);
+            if (rule == NORMAL_FORM
+                && class_members(word, total, (int)n, word + total + 1,
+                                 &steps, leaf) < 0)
                 goto fail;
         }
         else {
-            int low = depth > 0 && rep[depth - 1] - 1 > from
-                ? rep[depth - 1] - 1 : from;
-            int c = first_descent(r, (int)n, low);
+            int c;
+            if (rule == NEIGHBOUR && depth > 0)
+                c = neighbour_descent(r, (int)n, word[depth - 1], from);
+            else {
+                if (rule == NORMAL_FORM && depth > 0
+                    && word[depth - 1] - 1 > from)
+                    from = word[depth - 1] - 1;
+                c = first_descent(r, (int)n, from);
+            }
             if (c) {
                 swap_slots(r, c);
-                rep[depth++] = c;
+                word[depth++] = c;
                 from = 1;
                 continue;
             }
@@ -320,17 +276,17 @@ commutation_classes(PyObject *module, PyObject *entries)
             goto fail;
         if (depth == 0)
             break;
-        int c = rep[--depth];
+        int c = word[--depth];
         swap_slots(r, c);
         from = c + 1;
     }
-    PyMem_Free(ints);
+    PyMem_Free(word);
     PyMem_Free(r);
     return out;
 
 fail:
     Py_XDECREF(out);
-    PyMem_Free(ints);
+    PyMem_Free(word);
     PyMem_Free(r);
     return NULL;
 }
@@ -343,7 +299,7 @@ static PyObject *
 reduced_word_list(PyObject *module, PyObject *entries)
 {
     (void)module;
-    return search(entries, 0);
+    return search(entries, ANY);
 }
 
 PyDoc_STRVAR(singleton_word_list_doc,
@@ -355,7 +311,19 @@ static PyObject *
 singleton_word_list(PyObject *module, PyObject *entries)
 {
     (void)module;
-    return search(entries, 1);
+    return search(entries, NEIGHBOUR);
+}
+
+PyDoc_STRVAR(commutation_classes_doc,
+"commutation_classes($module, entries, /)\n--\n\n"
+"The commutation classes of the reduced words, each a list of its members\n"
+"in lexicographic order, the classes sorted by their least words.");
+
+static PyObject *
+commutation_classes(PyObject *module, PyObject *entries)
+{
+    (void)module;
+    return search(entries, NORMAL_FORM);
 }
 
 static PyMethodDef speedups_methods[] = {

@@ -9,7 +9,8 @@ written by this module's own renderer: the bytes of
 runs the pure-Python encoder, in about 40% of its time.
 
 Exit codes: 0 success, 1 verification found violations, 2 usage or parse
-error, 3 enumeration cap, sweep bound, recursion limit or memory exceeded.
+error, 3 enumeration cap, sweep bound, recursion limit or memory exceeded,
+or stdout could not be written (a closed pipe, a full disk).
 """
 
 from __future__ import annotations
@@ -408,22 +409,31 @@ def run(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except EnumerationCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except SweepBoundExceeded as exc:
+    except (EnumerationCapExceeded, SweepBoundExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (RecursionError, MemoryError) as exc:
         print(f"error: input too large: {exc!r}", file=sys.stderr)
         return 3
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    if args.format == "json":
-        document = {"command": args.command, "inputs": inputs, "results": results}
-        print(_render_json(document))
-    else:
-        for line in lines:
-            print(line)
+    try:
+        if args.format == "json":
+            document = {"command": args.command, "inputs": inputs, "results": results}
+            print(_render_json(document))
+        else:
+            for line in lines:
+                print(line)
+        # a buffered write fails here rather than at interpreter exit
+        sys.stdout.flush()
+    except OSError as exc:
+        if isinstance(exc, BrokenPipeError):
+            # the flush at exit would fail again; the signal module docs
+            # advise pointing stdout at devnull
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 3
     print(f"elapsed_ms {elapsed_ms:.3f}", file=sys.stderr)
     return code
 

@@ -5,8 +5,10 @@ The two word lists and the commutation classes have two implementations
 with the same contracts: the compiled ``_speedups`` module, built by
 ``setup.py`` from the hand-written C file ``_speedups.c``, is used whenever
 its extension built, and the pure-Python ``_pure`` module otherwise.  The
-compiled classes come from lexicographic normal forms; the pure twin groups
-the word list by the projection lemma.  The count has one implementation,
+three compiled kernels are one depth-first search under three rules for the
+next letter; under the third the leaves are the lexicographic normal forms,
+each expanded into its class.  The pure classes twin groups the word list
+by the projection lemma.  The count has one implementation,
 ``_pure.reduced_word_count``, which enumerates nothing, so it serves both
 backends.
 """

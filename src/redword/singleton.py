@@ -102,6 +102,16 @@ class TheoremReport:
         )
 
 
+def _positions_by_value(
+    entries: tuple[tuple[int, int], ...],
+) -> dict[int, list[int]]:
+    """Group (position, value) profile entries by value, positions in order."""
+    by_value: dict[int, list[int]] = {}
+    for pos, value in entries:
+        by_value.setdefault(value, []).append(pos)
+    return by_value
+
+
 def check_theorem_properties(w: Word) -> TheoremReport:
     """Evaluate the five profile laws on ``w`` (see the module docstring).
 
@@ -130,10 +140,7 @@ def check_theorem_properties(w: Word) -> TheoremReport:
     t = len(letters)
     repeats_ok = True
     for entries in (profile.pinnacles, profile.vales):
-        by_value: dict[int, list[int]] = {}
-        for pos, value in entries:
-            by_value.setdefault(value, []).append(pos)
-        for positions in by_value.values():
+        for positions in _positions_by_value(entries).values():
             if len(positions) >= 2 and 1 not in positions and t not in positions:
                 repeats_ok = False
 
@@ -205,9 +212,7 @@ def check_repeated_pinnacle_lemma(w: Word) -> list[RepeatedExtremeCase]:
         ("pinnacle", profile.pinnacles, -1),
         ("vale", profile.vales, +1),
     ):
-        by_value: dict[int, list[int]] = {}
-        for pos, value in entries:
-            by_value.setdefault(value, []).append(pos)
+        by_value = _positions_by_value(entries)
         for x in sorted(by_value):
             positions = by_value[x]
             if len(positions) < 2:

@@ -1,4 +1,5 @@
-"""Shared fixtures: a fresh build of the compiled kernels."""
+"""Shared fixtures: a fresh build of the compiled kernels, and a way to run
+the CLI of a given ``redword`` package in a fresh process."""
 
 import importlib.util
 import os
@@ -18,6 +19,21 @@ def _have_compiler() -> bool:
     compiler = compiler.split()[0]
     header = pathlib.Path(sysconfig.get_paths()["include"], "Python.h")
     return shutil.which(compiler) is not None and header.exists()
+
+
+def run_package(lib, argv):
+    """The backend and the CLI stdout of the ``redword`` package in lib."""
+    probe = (
+        "import sys, redword.cli, redword.kernels as k; print(k.BACKEND);"
+        " redword.cli.run(sys.argv[1:])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(lib))
+    out = subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    backend, _, stdout = out.stdout.partition("\n")
+    return backend, stdout
 
 
 @pytest.fixture(scope="session")

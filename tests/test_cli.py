@@ -3,9 +3,15 @@
 import hashlib
 import itertools
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
+from conftest import run_package
 
+import redword
 from redword.cli import _render_json, run
 from redword.perm import Permutation
 from redword.words import Word
@@ -156,16 +162,37 @@ def test_classes_command(capsys):
     assert out.splitlines() == ["1 classes, 2 words", "13 31"]
 
 
+# 26 classes of 7887 words: class order, member order and rendering in
+# both formats are part of the output contract
+CLASSES_DIGESTS = {
+    ("classes", "2761534", "--format", "text"):
+        "0377739fc2254c74498a895fe12f8510c02052e186445e34c5d7bfd129a2232f",
+    ("classes", "2761534", "--format", "json"):
+        "07c721575501bab04a0c12ee02b921be0190f629247d0c00c6c0888e39de561a",
+}
+
+# each command renders only the requested format; the bytes are the output
+# contract
+WORD_LIST_DIGESTS = {
+    ("reduced-words", "4321"):
+        "a7c14241849cdfde65da87d30edb082d0c8da43a73552c53407774dbdeb7c626",
+    ("reduced-words", "4321", "--format", "json"):
+        "eb779ab3e38d347226648e1d79f9f4c0cf7734b7fd7f4f3dcc5393f7cbb271b6",
+    ("singletons", "7,2,6,5,4,1,3"):
+        "ca1411987ef1dbc0ea373e9970d94b73ffec9d5d917ef3782bafbb5e7655568a",
+    ("singletons", "7,2,6,5,4,1,3", "--format", "json"):
+        "941eff0d5b2958d46da6ef50e33a825bd5cd8e871f8fc67c77afc50d64cee77d",
+    ("verify", "--max-n", "6"):
+        "9a3a3bd5d57518ff409836f228a6cfd17fbc5b27cc90dab1fb3ba1963098cc23",
+    ("search", "--n", "6", "--class-count", "2"):
+        "86ef4133a2c8037e7eda8d02bf81b7684b2df5f7dca1f6b2e1b88afb1e7295bb",
+}
+
+
 def test_classes_output_bytes_are_pinned(capsys, monkeypatch):
-    # 26 classes of 7887 words: class order, member order and rendering in
-    # both formats are part of the output contract
     monkeypatch.delenv("REDWORD_MAX_WORDS", raising=False)
-    expected = {
-        "text": "0377739fc2254c74498a895fe12f8510c02052e186445e34c5d7bfd129a2232f",
-        "json": "07c721575501bab04a0c12ee02b921be0190f629247d0c00c6c0888e39de561a",
-    }
-    for fmt, digest in expected.items():
-        code, out, _ = invoke(capsys, "classes", "2761534", "--format", fmt)
+    for argv, digest in CLASSES_DIGESTS.items():
+        code, out, _ = invoke(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -323,27 +350,60 @@ def test_round_trip_parse_format_parse(capsys):
 
 
 def test_word_list_output_bytes_are_pinned(capsys, monkeypatch):
-    # each command renders only the requested format; the bytes are the
-    # output contract
     monkeypatch.delenv("REDWORD_MAX_WORDS", raising=False)
-    expected = {
-        ("reduced-words", "4321"):
-            "a7c14241849cdfde65da87d30edb082d0c8da43a73552c53407774dbdeb7c626",
-        ("reduced-words", "4321", "--format", "json"):
-            "eb779ab3e38d347226648e1d79f9f4c0cf7734b7fd7f4f3dcc5393f7cbb271b6",
-        ("singletons", "7,2,6,5,4,1,3"):
-            "ca1411987ef1dbc0ea373e9970d94b73ffec9d5d917ef3782bafbb5e7655568a",
-        ("singletons", "7,2,6,5,4,1,3", "--format", "json"):
-            "941eff0d5b2958d46da6ef50e33a825bd5cd8e871f8fc67c77afc50d64cee77d",
-        ("verify", "--max-n", "6"):
-            "9a3a3bd5d57518ff409836f228a6cfd17fbc5b27cc90dab1fb3ba1963098cc23",
-        ("search", "--n", "6", "--class-count", "2"):
-            "86ef4133a2c8037e7eda8d02bf81b7684b2df5f7dca1f6b2e1b88afb1e7295bb",
-    }
-    for argv, digest in expected.items():
+    for argv, digest in WORD_LIST_DIGESTS.items():
         code, out, _ = invoke(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_pinned_output_bytes_hold_on_the_compiled_backend(
+    built_package, monkeypatch
+):
+    # the tests import redword from src/, where no extension is built, so
+    # the pins above run on the pure backend; here they run on a fresh build
+    monkeypatch.delenv("REDWORD_MAX_WORDS", raising=False)
+    for argv, digest in {**CLASSES_DIGESTS, **WORD_LIST_DIGESTS}.items():
+        backend, out = run_package(built_package, list(argv))
+        assert backend == "compiled"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _cli_env():
+    """The environment for a fresh ``python -m redword.cli`` of the package
+    these tests import, with the default word cap."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(redword.__file__).parents[1]))
+    env.pop("REDWORD_MAX_WORDS", None)
+    return env
+
+
+def test_closed_pipe_exits_3_without_traceback():
+    # as in `redword reduced-words 654321 | head -1`: 292,864 words, far
+    # more than a pipe buffer holds
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "redword.cli", "reduced-words", "654321"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
+    )
+    assert proc.stdout.readline() == b"121321432154321\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 3
+    assert err.startswith("error: cannot write output: [Errno 32]")
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_disk_exits_3_without_traceback():
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "redword.cli", "classes", "4321"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=_cli_env(),
+        )
+    assert done.returncode == 3
+    assert done.stderr.startswith("error: cannot write output: [Errno 28]")
+    assert "Traceback" not in done.stderr
+    assert "Exception ignored" not in done.stderr
 
 
 def _json_argvs():

@@ -8,16 +8,15 @@ The compiled backend is built afresh by the ``built_package`` fixture in
 
 import importlib
 import itertools
-import os
 import pathlib
 import random
 import shutil
-import subprocess
 import sys
 import types
 from math import comb
 
 import pytest
+from conftest import run_package
 
 import redword
 import redword._pure as pure_backend
@@ -241,21 +240,6 @@ def test_backends_agree(compiled_backend):
             with pytest.raises(ValueError, match="not a permutation"):
                 backend.singleton_word_list(bad)
     assert not hasattr(compiled, "reduced_word_count")
-
-
-def run_package(lib, argv):
-    """The backend and the CLI stdout of the ``redword`` package in lib."""
-    probe = (
-        "import sys, redword.cli, redword.kernels as k; print(k.BACKEND);"
-        " redword.cli.run(sys.argv[1:])"
-    )
-    env = dict(os.environ, PYTHONPATH=str(lib))
-    out = subprocess.run(
-        [sys.executable, "-c", probe, *argv],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    backend, _, stdout = out.stdout.partition("\n")
-    return backend, stdout
 
 
 def test_backend_is_pure_without_the_extension(tmp_path, capsys):
